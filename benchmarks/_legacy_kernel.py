@@ -1,7 +1,7 @@
 """Frozen pre-overhaul DES kernel, kept verbatim for benchmarking.
 
 This is the event queue and drain loop exactly as they shipped before
-the calendar-queue overhaul (dataclass ``Event`` with
+the kernel overhaul (dataclass ``Event`` with
 ``order=True`` comparisons, binary heap of event objects, ``_dead``-set
 lazy cancellation, ``peek_time``+``pop`` double prune per drained
 event) — including the cancel-after-fire accounting bug the overhaul

@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=SCHEDULER_NAMES,
         default=None,
         help="per-worker serving discipline for 'fleet' "
-        "(default: edf; ps under --hybrid, the validated fidelity config)",
+        "(default: edf; --hybrid accepts only ps, the validated fidelity config)",
     )
     fleet.add_argument(
         "--seed",
@@ -259,6 +259,14 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [n for n in names if n not in ARTIFACTS]
     if unknown:
         print(f"unknown artifact(s): {', '.join(unknown)} — try 'list'", file=sys.stderr)
+        return 2
+    if args.hybrid and args.scheduler not in (None, "ps"):
+        # the fluid/DES coupling is only validated under processor
+        # sharing; FIFO/EDF lose fidelity (docs/hybrid.md)
+        print(
+            f"--hybrid is validated only with --scheduler ps, not {args.scheduler!r}",
+            file=sys.stderr,
+        )
         return 2
 
     tel: Telemetry | None = None

@@ -2,14 +2,14 @@
 
 Everything in the reproduction that advances virtual time — middleware
 message delivery, node compute delays, network transit, vehicle motion —
-is scheduled on a single :class:`~repro.sim.kernel.Simulator` calendar
+is scheduled on a single :class:`~repro.sim.kernel.Simulator` event
 queue (see ``docs/kernel.md``), so entire missions replay bit-identically
 from a seed.
 """
 
 from repro.sim.audit import OrderingAuditor, TiebreakAmbiguity
 from repro.sim.clock import SimClock
-from repro.sim.events import CalendarEventQueue, Event, EventQueue, HeapEventQueue
+from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Process, Simulator
 from repro.sim.rng import seeded_rng, split_rng
 
@@ -17,8 +17,6 @@ __all__ = [
     "SimClock",
     "Event",
     "EventQueue",
-    "CalendarEventQueue",
-    "HeapEventQueue",
     "OrderingAuditor",
     "TiebreakAmbiguity",
     "Simulator",

@@ -18,32 +18,17 @@ entry was physically consumed by ``pop`` — may be recycled through
 :meth:`EventQueue.repush` (the slot-reuse path periodic processes use
 to re-arm without allocating a fresh event every tick).
 
-Two queue implementations share the contract and the exact
-``(time, seq)`` total order:
-
-* :class:`CalendarEventQueue` (the default ``EventQueue``) — a
-  calendar/bucket wheel for the near future with a binary-heap
-  fallback for sparse far-future events.  Near-term scheduling is an
-  O(1) list append; pops walk a sorted bucket by index instead of
-  sifting a heap.
-* :class:`HeapEventQueue` — a plain binary heap of ``(time, seq,
-  event)`` tuples.  Kept as the reference implementation: property
-  tests assert both backends pop in an identical order on randomized
-  workloads, and it remains selectable for workloads whose event times
-  are too sparse for the wheel to help.
-
-Neither backend ever compares :class:`Event` objects: entries are bare
-``(time, seq, event)`` tuples, so all ordering work happens in C-level
-tuple comparisons — the ``@dataclass(order=True)`` per-comparison
-Python calls of the original heap were the kernel's single largest
-overhead (see ``BENCH_kernel_throughput.json``).
+:class:`EventQueue` is a plain binary heap of ``(time, seq, event)``
+tuples, so all ordering work happens in C-level tuple comparisons —
+:class:`Event` objects are never compared. The ``@dataclass(order=True)``
+per-comparison Python calls of the original heap were the kernel's
+single largest overhead (see ``BENCH_kernel_throughput.json``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import insort
 from collections.abc import Callable
 from heapq import heappop, heappush
 from typing import Any
@@ -104,7 +89,7 @@ class Event:
         #: Lifecycle state: PENDING, FIRED or CANCELLED.
         self.state = PENDING
         #: The queue this event was scheduled on (cancellation guard).
-        self.owner: _EventQueueBase | None = None
+        self.owner: EventQueue | None = None
 
     @property
     def pending(self) -> bool:
@@ -128,39 +113,28 @@ class Event:
         )
 
 
-class _EventQueueBase:
-    """Shared contract: counters, accounting, cancellation, reuse.
+class EventQueue:
+    """Binary heap of ``(time, seq, event)`` tuples.
 
-    Subclasses implement the storage (:meth:`_insert`, :meth:`_head`,
-    :meth:`_consume_head`) and inherit the lifecycle bookkeeping. The
-    ``(time, seq)`` pop order is part of the contract and is asserted
-    to be identical across backends by property tests.
+    Cancellation is lazy: a cancelled event's entry stays in the heap
+    and is discarded — once, counted in :attr:`pruned` — when it
+    surfaces at the top. Only fired events may be recycled through
+    :meth:`repush`: :meth:`pop` physically consumed their entry, so no
+    stale reference can resurrect at the old position.
     """
 
     def __init__(self) -> None:
+        self._heap: list[Entry] = []
         self._counter = itertools.count()
         self._live = 0
         #: Lifetime churn counters (read by the kernel self-profiler):
         #: total pushes (including slot-reuse re-pushes), effective
         #: cancellations, and dead entries lazily discarded from the
-        #: scheduler structures. Plain ints — one increment each.
+        #: heap. Plain ints — one increment each.
         self.pushes = 0
         self.cancels = 0
         self.pruned = 0
 
-    # -- storage hooks --------------------------------------------------
-    def _insert(self, t: float, seq: int, ev: Event) -> None:
-        raise NotImplementedError
-
-    def _head(self) -> Entry | None:
-        """Next live entry without consuming it (skips dead entries)."""
-        raise NotImplementedError
-
-    def _consume_head(self) -> None:
-        """Remove the entry :meth:`_head` just returned."""
-        raise NotImplementedError
-
-    # -- the public contract --------------------------------------------
     def __len__(self) -> int:
         return self._live
 
@@ -190,7 +164,7 @@ class _EventQueueBase:
         ev.parent = parent
         ev.state = PENDING
         ev.owner = self
-        self._insert(t, seq, ev)
+        heappush(self._heap, (t, seq, ev))
         self._live += 1
         self.pushes += 1
         return ev
@@ -201,9 +175,7 @@ class _EventQueueBase:
         The event gets a fresh sequence number (so the deterministic
         ``(time, seq)`` tie order is exactly what a fresh :meth:`push`
         would have produced) but no new object is allocated — the
-        periodic-tick hot path. Only fired events may be recycled:
-        their queue entry was physically consumed by :meth:`pop`, so
-        no stale reference can resurrect at the old position.
+        periodic-tick hot path.
         """
         if event.owner is not self:
             raise ValueError("event belongs to a different EventQueue")
@@ -219,7 +191,7 @@ class _EventQueueBase:
         event.seq = seq
         event.parent = parent
         event.state = PENDING
-        self._insert(t, seq, event)
+        heappush(self._heap, (t, seq, event))
         self._live += 1
         self.pushes += 1
         return event
@@ -240,19 +212,20 @@ class _EventQueueBase:
             event.state = CANCELLED
             self._live -= 1
             self.cancels += 1
-            self._on_cancel(event)
 
-    def _on_cancel(self, event: Event) -> None:
-        """Backend hook: invalidate caches that may point at ``event``."""
+    def _head(self) -> Entry | None:
+        """The next live entry, pruning dead entries off the top."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[2].state == PENDING:
+                return entry
+            heappop(heap)
+            self.pruned += 1
+        return None
 
     def peek(self) -> Event | None:
-        """The next live event without removing it, or ``None``.
-
-        Dead (cancelled) entries are discarded during the same scan —
-        a subsequent :meth:`pop` reuses the located head instead of
-        pruning again, so the drain loop skips each dead entry exactly
-        once.
-        """
+        """The next live event without removing it, or ``None``."""
         entry = self._head()
         return entry[2] if entry is not None else None
 
@@ -277,403 +250,24 @@ class _EventQueueBase:
     def pop_due(self, until: float | None = None) -> Event | None:
         """Pop the next live event if it fires at or before ``until``.
 
-        :meth:`peek` + :meth:`pop` fused into a single head resolution
-        — the drain loop's per-event path. Returns ``None`` when the
-        queue is empty *or* the head fires after ``until``, the two
-        cases a drain loop treats identically (stop draining; the head
-        stays queued for a later ``run``).
+        The drain loop's per-event path: one loop prunes dead entries
+        off the top, bounds-checks the live head and consumes it.
+        Returns ``None`` when the queue is empty *or* the head fires
+        after ``until``, the two cases a drain loop treats identically
+        (stop draining; the head stays queued for a later ``run``).
         """
-        entry = self._head()
-        if entry is None:
-            return None
-        if until is not None and entry[0] > until:
-            return None
-        self._consume_head()
-        ev = entry[2]
-        ev.state = FIRED
-        self._live -= 1
-        return ev
-
-
-class HeapEventQueue(_EventQueueBase):
-    """Binary-heap backend: ``(time, seq, event)`` tuples.
-
-    The reference implementation — simple, allocation-light, and with
-    all comparisons at C speed. Cancellation is lazy: dead entries are
-    discarded when they surface at the heap top.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: list[Entry] = []
-
-    def _insert(self, t: float, seq: int, ev: Event) -> None:
-        heappush(self._heap, (t, seq, ev))
-
-    def _head(self) -> Entry | None:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[2].state == PENDING:
-                return entry
+            ev = entry[2]
+            if ev.state != PENDING:
+                heappop(heap)
+                self.pruned += 1
+                continue
+            if until is not None and entry[0] > until:
+                return None
             heappop(heap)
-            self.pruned += 1
+            ev.state = FIRED
+            self._live -= 1
+            return ev
         return None
-
-    def _consume_head(self) -> None:
-        heappop(self._heap)
-
-
-class CalendarEventQueue(_EventQueueBase):
-    """Calendar/bucket wheel with a far-future heap fallback.
-
-    Time is divided into fixed windows of ``bucket_width_s`` seconds;
-    window ``n`` holds events with ``int(t / width) == n``. The wheel
-    covers ``n_buckets`` consecutive windows starting at the drain
-    cursor; scheduling inside that horizon is an O(1) ``list.append``.
-    Events beyond the horizon fall back to a binary heap and either
-    migrate into the wheel when the cursor reaches them (wheel empty:
-    the cursor *snaps* to the heap's next window and one horizon's
-    worth of events is batch-placed) or, while the wheel is busy, pop
-    straight off the heap when they are globally next.
-
-    Buckets are sorted lazily — once, when the cursor arrives — and
-    then drained by index; events scheduled into the bucket currently
-    being drained are insorted behind the drain pointer. A bucket
-    occupancy bitmap lets the cursor jump over empty windows in O(1)
-    big-int operations instead of scanning.
-
-    The pop order is exactly ``(time, seq)``: windows partition time
-    monotonically, in-bucket sorting orders within a window, and the
-    head is always the minimum of the wheel's next entry and the far
-    heap's top.
-    """
-
-    def __init__(self, bucket_width_s: float = 0.005, n_buckets: int = 512) -> None:
-        super().__init__()
-        if not (bucket_width_s > 0) or bucket_width_s < 1e-9:
-            raise ValueError(f"bucket width must be >= 1ns, got {bucket_width_s}")
-        if n_buckets < 2:
-            raise ValueError(f"need at least 2 buckets, got {n_buckets}")
-        self._inv_w = 1.0 / float(bucket_width_s)
-        self._nb = n_buckets
-        self._buckets: list[list[Entry]] = [[] for _ in range(n_buckets)]
-        self._occ = 0  # bitmap: bit i set iff self._buckets[i] is non-empty
-        # bytearray mirror of the bitmap: a C-speed membership test so
-        # repeat appends to an already-occupied bucket skip the big-int
-        # shift/or (which allocates a fresh 512-bit int every time)
-        self._occ_b = bytearray(n_buckets)
-        self._ncur = 0  # absolute window number the cursor is on
-        self._ptr = 0  # drain index into the cursor's bucket
-        self._cur_sorted = False  # cursor bucket sorted yet?
-        self._wheel_count = 0  # physical entries in the wheel (incl. dead)
-        self._far: list[Entry] = []  # heap of beyond-horizon entries
-        #: Dedicated slot for the only entry of an otherwise-empty
-        #: queue. The dominant kernel pattern — a self-rescheduling
-        #: chain that pops its one event and pushes the successor —
-        #: never touches buckets, bitmap or heap this way. Invariant:
-        #: while set, the wheel and the far heap are empty.
-        self._solo: Entry | None = None
-        self._cached_head: Entry | None = None
-        self._head_is_far = False
-
-    # -- placement ------------------------------------------------------
-    def _window(self, t: float) -> int:
-        # One float multiply + truncation; monotone in t for t >= 0, and
-        # equal times always share a window, which is all correctness
-        # needs. (Times are virtual seconds >= 0 in practice; anything
-        # at or before the cursor window lands in the cursor bucket.)
-        return int(t * self._inv_w)
-
-    def _insert(self, t: float, seq: int, ev: Event) -> None:
-        entry = (t, seq, ev)
-        solo = self._solo
-        if solo is None and not self._wheel_count and not self._far:
-            if not math.isinf(t):
-                # empty queue: seat the entry in the solo slot
-                self._solo = entry
-                self._cached_head = entry
-                self._head_is_far = False
-                return
-            heappush(self._far, entry)
-            self._cached_head = entry
-            self._head_is_far = True
-            return
-        if solo is not None:
-            # a second entry arrived: demote the solo occupant into the
-            # regular structures first (wheel and far heap are empty,
-            # so the cursor is free to snap onto its window)
-            self._solo = None
-            st = solo[0]
-            if math.isinf(st):
-                heappush(self._far, solo)
-            else:
-                w = int(st * self._inv_w)
-                self._ncur = w
-                i = w % self._nb
-                self._buckets[i].append(solo)
-                self._occ_b[i] = 1
-                self._occ |= 1 << i
-                self._ptr = 0
-                self._cur_sorted = True
-                self._wheel_count = 1
-        if math.isinf(t):
-            heappush(self._far, entry)
-            went_far = True
-        else:
-            k = int(t * self._inv_w) - self._ncur
-            if k >= self._nb:
-                heappush(self._far, entry)
-                went_far = True
-            elif k > 0:
-                # :meth:`_place` inlined for the two hot cases — a
-                # future window is a plain append, the cursor's own
-                # window an insort behind the drain pointer
-                i = (self._ncur + k) % self._nb
-                self._buckets[i].append(entry)
-                if not self._occ_b[i]:
-                    self._occ_b[i] = 1
-                    self._occ |= 1 << i
-                self._wheel_count += 1
-                went_far = False
-            else:
-                i = self._ncur % self._nb
-                b = self._buckets[i]
-                if self._cur_sorted:
-                    insort(b, entry, self._ptr)
-                else:
-                    b.append(entry)
-                if not self._occ_b[i]:
-                    self._occ_b[i] = 1
-                    self._occ |= 1 << i
-                self._wheel_count += 1
-                went_far = False
-        cached = self._cached_head
-        if cached is not None and entry < cached:
-            # the new event is the queue's new head: a far entry that
-            # beats the cache is necessarily the far heap's new top, so
-            # the cache can track it directly; a wheel entry may sit in
-            # a bucket the cursor has not reached, so recompute lazily
-            if went_far:
-                self._cached_head = entry
-                self._head_is_far = True
-            else:
-                self._cached_head = None
-
-    def _place(self, entry: Entry, k: int) -> None:
-        """Put ``entry`` in the wheel, ``k`` windows past the cursor."""
-        nb = self._nb
-        if k <= 0:
-            # the cursor's own window (or nominally before it, which
-            # only happens for past-time pushes the kernel forbids and
-            # far-heap migrations after a cursor overshoot): insort
-            # behind the drain pointer so the in-bucket order stays
-            # total
-            i = self._ncur % nb
-            b = self._buckets[i]
-            if self._cur_sorted:
-                insort(b, entry, self._ptr)
-            else:
-                b.append(entry)
-        else:
-            i = (self._ncur + k) % nb
-            b = self._buckets[i]
-            b.append(entry)
-        if not self._occ_b[i]:
-            self._occ_b[i] = 1
-            self._occ |= 1 << i
-        self._wheel_count += 1
-
-    # -- head resolution ------------------------------------------------
-    def _on_cancel(self, event: Event) -> None:
-        solo = self._solo
-        if solo is not None and solo[2] is event:
-            # the solo occupant dies in place — O(1) physical removal
-            self._solo = None
-            self.pruned += 1
-        cached = self._cached_head
-        if cached is not None and cached[2] is event:
-            self._cached_head = None
-
-    def _wheel_head(self) -> Entry | None:
-        """First live wheel entry; advances the cursor, prunes dead."""
-        nb = self._nb
-        while self._wheel_count:
-            i = self._ncur % nb
-            b = self._buckets[i]
-            if b:
-                if not self._cur_sorted:
-                    b.sort()
-                    self._cur_sorted = True
-                j = self._ptr
-                n = len(b)
-                while j < n:
-                    entry = b[j]
-                    if entry[2].state == PENDING:
-                        self._ptr = j
-                        return entry
-                    j += 1
-                    self._wheel_count -= 1
-                    self.pruned += 1
-                b.clear()
-                self._occ_b[i] = 0
-                self._occ &= ~(1 << i)
-                self._ptr = 0
-                self._cur_sorted = False
-                if not self._wheel_count:
-                    return None
-            occ = self._occ
-            if not occ:
-                return None
-            # jump the cursor to the next occupied bucket: bit i is
-            # clear here, so the low bit of occ >> i is the distance
-            # ahead; when nothing is set above i, wrap to the lowest
-            # set bit from index 0
-            m = occ >> i
-            if m:
-                step = (m & -m).bit_length() - 1
-            else:
-                step = nb - i + (occ & -occ).bit_length() - 1
-            self._ncur += step
-            self._ptr = 0
-            self._cur_sorted = False
-        return None
-
-    def _prune_far(self) -> None:
-        far = self._far
-        while far and far[0][2].state != PENDING:
-            heappop(far)
-            self.pruned += 1
-
-    def _refill_from_far(self) -> None:
-        """Wheel drained: snap the cursor to the far heap and batch-
-        migrate one horizon's worth of events into the wheel."""
-        far = self._far
-        t0 = far[0][0]
-        if not math.isinf(t0):
-            self._ncur = self._window(t0)
-            self._ptr = 0
-            self._cur_sorted = False
-            while far:
-                t, _seq, ev = far[0]
-                if math.isinf(t):
-                    break
-                k = self._window(t) - self._ncur
-                if k >= self._nb:
-                    break
-                entry = heappop(far)
-                if ev.state != PENDING:
-                    self.pruned += 1
-                    continue
-                self._place(entry, k)
-
-    def _head(self) -> Entry | None:
-        cached = self._cached_head
-        if cached is not None:
-            return cached
-        solo = self._solo
-        if solo is not None:
-            # solo implies the wheel and far heap are empty, and a
-            # cancelled solo is dropped eagerly, so this entry is live
-            self._cached_head = solo
-            self._head_is_far = False
-            return solo
-        wheel: Entry | None = None
-        if self._wheel_count:
-            # hot continuation: the cursor bucket is already sorted and
-            # its next entry is live — resolved without a scan or call
-            if self._cur_sorted:
-                b = self._buckets[self._ncur % self._nb]
-                j = self._ptr
-                if j < len(b):
-                    e = b[j]
-                    if e[2].state == PENDING:
-                        wheel = e
-            if wheel is None:
-                wheel = self._wheel_head()
-        far = self._far
-        if far and far[0][2].state != PENDING:
-            self._prune_far()
-        if wheel is None and far:
-            self._refill_from_far()
-            wheel = self._wheel_head() if self._wheel_count else None
-            self._prune_far()
-        if not far:
-            if wheel is None:
-                return None
-            self._cached_head = wheel
-            self._head_is_far = False
-            return wheel
-        fhead = far[0]
-        if wheel is None or fhead < wheel:
-            self._cached_head = fhead
-            self._head_is_far = True
-            return fhead
-        self._cached_head = wheel
-        self._head_is_far = False
-        return wheel
-
-    def _consume_head(self) -> None:
-        if self._solo is not None:
-            # solo implies it *is* the head (only live entry anywhere)
-            self._solo = None
-            self._cached_head = None
-            return
-        if self._head_is_far:
-            heappop(self._far)
-        else:
-            self._ptr += 1
-            self._wheel_count -= 1
-            # Eagerly retire the cursor bucket once consumption drains
-            # it. Leaving consumed entries behind would let a later
-            # far-heap snap land on the same bucket index and re-count
-            # them as dead skips, corrupting ``_wheel_count``.
-            i = self._ncur % self._nb
-            b = self._buckets[i]
-            if self._ptr >= len(b):
-                b.clear()
-                self._occ_b[i] = 0
-                self._occ &= ~(1 << i)
-                self._ptr = 0
-                self._cur_sorted = False
-        self._cached_head = None
-
-    def pop_due(self, until: float | None = None) -> Event | None:
-        # Overrides the base implementation to resolve, bounds-check
-        # and consume the head without the _head/_consume_head call
-        # frames on a cache hit — this is the kernel drain loop's
-        # per-event path. The consume arms mirror :meth:`_consume_head`
-        # exactly (keep them in sync).
-        entry = self._cached_head
-        if entry is None:
-            entry = self._head()
-            if entry is None:
-                return None
-        if until is not None and entry[0] > until:
-            return None
-        if self._solo is not None:
-            self._solo = None
-            self._cached_head = None
-        elif self._head_is_far:
-            heappop(self._far)
-            self._cached_head = None
-        else:
-            self._ptr += 1
-            self._wheel_count -= 1
-            i = self._ncur % self._nb
-            b = self._buckets[i]
-            if self._ptr >= len(b):
-                b.clear()
-                self._occ_b[i] = 0
-                self._occ &= ~(1 << i)
-                self._ptr = 0
-                self._cur_sorted = False
-            self._cached_head = None
-        ev = entry[2]
-        ev.state = FIRED
-        self._live -= 1
-        return ev
-
-
-#: The kernel's default scheduler backend.
-EventQueue = CalendarEventQueue

@@ -13,7 +13,7 @@ per event (dead entries are skipped exactly once, not re-pruned by
 ``peek``/``pop`` pairs), same-time events are fired as a batch under a
 single clock advance, and periodic :class:`Process` ticks re-arm by
 recycling their fired event through
-:meth:`~repro.sim.events._EventQueueBase.repush` instead of paying an
+:meth:`~repro.sim.events.EventQueue.repush` instead of paying an
 allocation plus cancel churn per period. See ``docs/kernel.md`` for
 the scheduler data structure and the event lifecycle contract.
 """

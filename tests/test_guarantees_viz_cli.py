@@ -163,6 +163,23 @@ class TestCli:
     def test_trace_without_artifact_errors(self, capsys):
         assert cli_main(["trace"]) == 2
 
+    @pytest.mark.parametrize("scheduler", ["fifo", "edf"])
+    def test_hybrid_refuses_unvalidated_scheduler(self, capsys, scheduler):
+        # only processor sharing is validated for the fluid/DES coupling
+        assert cli_main(["fleet", "--hybrid", "--scheduler", scheduler]) == 2
+        err = capsys.readouterr().err
+        assert "--scheduler ps" in err and scheduler in err
+
+    def test_hybrid_defaults_to_ps(self, capsys, tmp_path):
+        out_path = tmp_path / "hybrid.json"
+        argv = ["fleet", "--hybrid", "--tenants", "64", "--focal", "2",
+                "--fleet-out", str(out_path)]
+        assert cli_main(argv) == 0
+        assert "ps scheduler" in capsys.readouterr().out
+        import json
+
+        assert json.loads(out_path.read_text())["meta"]["scheduler"] == "ps"
+
     def test_critical_path_with_no_traces_exits_cleanly(self, capsys):
         # table3 never touches an obs-instrumented path; the report
         # must say so and exit 0, not stack-trace on an empty tracer

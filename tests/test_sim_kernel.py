@@ -395,7 +395,7 @@ class TestRng:
 
 
 class TestEventLifecycle:
-    """The PENDING -> FIRED / CANCELLED contract added by the calendar
+    """The PENDING -> FIRED / CANCELLED contract added by the kernel
     overhaul: cancellation is safe in every state, recycling is only
     legal for fired events, and handles are namespaced per queue."""
 
@@ -543,9 +543,9 @@ class TestEventLifecycle:
         assert q.pop_due() is None
 
 
-class TestBackendEquivalence:
-    """The calendar queue and the reference heap must pop in an
-    identical (time, seq) order on any workload."""
+class TestQueueOrder:
+    """The event queue must pop in exact (time, seq) order on any
+    workload of pushes, ties, pops, cancels and slot-reuse repushes."""
 
     @given(
         st.lists(
@@ -553,45 +553,64 @@ class TestBackendEquivalence:
                 st.sampled_from(["push", "push_tie", "pop", "cancel", "repush"]),
                 st.floats(min_value=0.0, max_value=120.0),
                 st.integers(min_value=0, max_value=10_000),
+                st.booleans(),
             ),
             min_size=1,
             max_size=120,
         )
     )
-    def test_calendar_matches_heap(self, ops):
-        from repro.sim.events import FIRED, CalendarEventQueue, HeapEventQueue
+    def test_matches_a_sorted_list_model(self, ops):
+        # The model is trivially correct: the live (time, seq) pairs,
+        # kept sorted, so its head is always the next event to fire.
+        # ``look`` decides whether this step also peeks: a peek prunes
+        # a dead head itself, so steps without one leave it for pop.
+        from repro.sim.events import FIRED, PENDING
 
-        cal = CalendarEventQueue(bucket_width_s=0.05, n_buckets=64)
-        heap = HeapEventQueue()
-        pairs = []
+        q = EventQueue()
+        model: list[tuple[float, int]] = []
+        handles = []
         now = 0.0
-        for op, dt, pick in ops:
+        for op, dt, pick, look in ops:
             if op in ("push", "push_tie"):
                 t = now if op == "push_tie" else now + dt
-                pairs.append((cal.push(t, lambda: None), heap.push(t, lambda: None)))
+                ev = q.push(t, lambda: None)
+                handles.append(ev)
+                model.append((ev.time, ev.seq))
             elif op == "pop":
-                if cal:
-                    a, b = cal.pop(), heap.pop()
-                    assert (a.time, a.seq) == (b.time, b.seq)
-                    now = max(now, a.time)
-            elif op == "cancel" and pairs:
-                a, b = pairs[pick % len(pairs)]
-                cal.cancel(a)
-                heap.cancel(b)
-            elif op == "repush" and pairs:
-                a, b = pairs[pick % len(pairs)]
-                if a.state == FIRED and b.state == FIRED:
-                    cal.repush(a, now + dt)
-                    heap.repush(b, now + dt)
-            assert len(cal) == len(heap)
-            ca, cb = cal.peek(), heap.peek()
-            assert (ca is None) == (cb is None)
-            if ca is not None:
-                assert (ca.time, ca.seq) == (cb.time, cb.seq)
-        while cal:
-            a, b = cal.pop(), heap.pop()
-            assert (a.time, a.seq) == (b.time, b.seq)
-        assert not heap
+                if model:
+                    ev = q.pop()
+                    assert (ev.time, ev.seq) == model.pop(0)
+                    assert ev.state == FIRED
+                    now = max(now, ev.time)
+                else:
+                    with pytest.raises(IndexError):
+                        q.pop()
+            elif op == "cancel" and handles:
+                ev = handles[pick % len(handles)]
+                if ev.state == PENDING:
+                    model.remove((ev.time, ev.seq))
+                q.cancel(ev)
+            elif op == "repush" and handles:
+                ev = handles[pick % len(handles)]
+                if ev.state == FIRED:
+                    q.repush(ev, now + dt)
+                    model.append((ev.time, ev.seq))
+            model.sort()
+            assert len(q) == len(model)
+            assert bool(q) == bool(model)
+            if not look:
+                continue
+            head = q.peek()
+            if model:
+                assert head is not None and (head.time, head.seq) == model[0]
+                assert q.peek_time() == model[0][0]
+            else:
+                assert head is None and q.peek_time() is None
+        while model:
+            ev = q.pop()
+            assert (ev.time, ev.seq) == model.pop(0)
+        assert not q
+        assert q.pruned <= q.cancels
 
     @given(
         st.lists(
@@ -600,19 +619,19 @@ class TestBackendEquivalence:
             max_size=80,
         )
     )
-    def test_calendar_matches_the_frozen_legacy_order(self, times):
-        # Same pop order as what PR 6 shipped (push/pop only: the
+    def test_matches_the_frozen_legacy_order(self, times):
+        # Same pop order as the pre-overhaul kernel (push/pop only: the
         # legacy queue predates safe cancellation semantics).
         from benchmarks._legacy_kernel import LegacyEventQueue
 
-        cal = EventQueue()
+        q = EventQueue()
         legacy = LegacyEventQueue()
         for t in times:
-            cal.push(t, lambda: None)
+            q.push(t, lambda: None)
             legacy.push(t, lambda: None)
         order_new = []
-        while cal:
-            ev = cal.pop()
+        while q:
+            ev = q.pop()
             order_new.append((ev.time, ev.seq))
         order_legacy = []
         while legacy:
