@@ -3,9 +3,9 @@
 
 Runs the paper's two §V parallelizations *for real* on this machine:
 
-* :class:`ParallelGMapping` fans the per-particle scanMatch loop over a
-  thread pool (Fig. 6) — and produces bit-identical maps to the serial
-  filter;
+* :class:`ParallelGMapping` splits the particles' batched scanMatch into
+  chunks on a thread pool (Fig. 6) — and produces bit-identical maps to
+  the serial filter;
 * :class:`ParallelScorer` chunks DWA trajectory scoring (Fig. 5) — and
   picks the identical best trajectory.
 
@@ -36,7 +36,7 @@ def demo_parallel_slam() -> None:
         for scan, delta in seq:
             est = slam.process(scan, delta)
         dt = time.perf_counter() - t0
-        lo = slam.best_particle().log_odds.copy()
+        lo = slam.log_odds[slam.best_index()].copy()
         if hasattr(slam, "close"):
             slam.close()
         return est, lo, dt

@@ -13,7 +13,7 @@ from repro.perception.costmap import (
 )
 from repro.perception.likelihood import LikelihoodField
 from repro.perception.amcl import Amcl, AmclConfig
-from repro.perception.gmapping import GMapping, GMappingConfig, Particle
+from repro.perception.gmapping import GMapping, GMappingConfig
 from repro.perception.gmapping_parallel import ParallelGMapping
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "AmclConfig",
     "GMapping",
     "GMappingConfig",
-    "Particle",
     "ParallelGMapping",
 ]

@@ -9,9 +9,12 @@ CostmapGen node:
 * **inflation layer** — exponentially decaying cost around every
   lethal cell out to the inflation radius, so planners keep clearance.
 
-The inflation pass is fully vectorized: one distance transform
+Both passes are fully vectorized, per the HPC guide's no-Python-loops
+rule: clearing traces every beam in one lockstep integer Bresenham pass
+(:func:`~repro.world.raycast.trace_lines`) and clears all its cells
+with one scatter; inflation is one distance transform
 (:func:`scipy.ndimage.distance_transform_edt`) plus a masked
-exponential, per the HPC guide's no-Python-loops rule.
+exponential.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from scipy import ndimage
 from repro.world.geometry import Pose2D
 from repro.world.grid import CellState, OccupancyGrid
 from repro.world.lidar import LidarScan
-from repro.world.raycast import bresenham_cells
+from repro.world.raycast import trace_lines
 
 
 class CostValues:
@@ -118,28 +121,25 @@ class LayeredCostmap:
         rows_hit = np.floor((ey - self.origin.y) / res + 0.5).astype(np.int64)
         cols_hit = np.floor((ex - self.origin.x) / res + 0.5).astype(np.int64)
 
-        # Clear along each beam (Python loop over beams, numpy inside):
-        for rh, ch in zip(rows_hit, cols_hit):
-            cells = bresenham_cells(r0, c0, int(rh), int(ch))
-            if len(cells) > 1:
-                rr, cc = cells[:-1, 0], cells[:-1, 1]
-                ok = (rr >= 0) & (rr < self.rows) & (cc >= 0) & (cc < self.cols)
-                self._obstacle_lethal[rr[ok], cc[ok]] = False
+        # Max-range beams saw free space out to their far end.
+        miss_angles = scan.angles[~m] + pose.theta
+        mr = scan.range_max * 0.999
+        mex = pose.x + mr * np.cos(miss_angles)
+        mey = pose.y + mr * np.sin(miss_angles)
+        mrows = np.floor((mey - self.origin.y) / res + 0.5).astype(np.int64)
+        mcols = np.floor((mex - self.origin.x) / res + 0.5).astype(np.int64)
 
-        # Also clear along max-range beams (free space, no obstacle).
-        miss = ~m
-        if miss.any():
-            miss_angles = scan.angles[miss] + pose.theta
-            mr = scan.range_max * 0.999
-            mex = pose.x + mr * np.cos(miss_angles)
-            mey = pose.y + mr * np.sin(miss_angles)
-            mrows = np.floor((mey - self.origin.y) / res + 0.5).astype(np.int64)
-            mcols = np.floor((mex - self.origin.x) / res + 0.5).astype(np.int64)
-            for rh, ch in zip(mrows, mcols):
-                cells = bresenham_cells(r0, c0, int(rh), int(ch))
-                rr, cc = cells[:, 0], cells[:, 1]
-                ok = (rr >= 0) & (rr < self.rows) & (cc >= 0) & (cc < self.cols)
-                self._obstacle_lethal[rr[ok], cc[ok]] = False
+        # Clear along every beam in one lockstep Bresenham pass: a
+        # return's own cell is kept, a max-range beam's far cell cleared.
+        rr, cc = trace_lines(
+            r0,
+            c0,
+            np.concatenate([rows_hit, mrows]),
+            np.concatenate([cols_hit, mcols]),
+            np.repeat([False, True], [len(rows_hit), len(mrows)]),
+            (self.rows, self.cols),
+        )
+        self._obstacle_lethal[rr, cc] = False
 
         # Mark hits lethal (vectorized).
         ok = (

@@ -10,10 +10,20 @@ Each particle carries a pose hypothesis and its own occupancy map
 4. selective ``resample`` when Neff drops;
 5. map integration of the scan into every particle's map.
 
-The per-particle work is vectorized over beams; particles own
-independent RNG streams so the thread-parallel subclass
+The particle set is stored as stacked arrays — ``poses (P, 3)``,
+``log_odds (P, rows, cols)``, ``weights (P,)``, ``match_scores (P,)`` —
+so resampling is one fancy-index copy. ``scanMatch`` climbs every
+particle at once: each pass scores, in one broadcast, the directions
+left in every climbing particle's pass and takes the first that
+improves, which is the move a one-particle-at-a-time climb makes. The
+score sums each candidate's endpoint probabilities as one row of an
+equal-length block, the same pairwise float32 sum a 1-D ``np.sum``
+gives, so the result is bit-identical to scoring candidates one by
+one. Only the motion update stays per particle, because every particle
+slot owns an independent RNG stream; that is also what lets the
+thread-parallel subclass
 (:class:`~repro.perception.gmapping_parallel.ParallelGMapping`)
-produces bit-identical maps to the serial filter.
+produce bit-identical maps to the serial filter.
 """
 
 from __future__ import annotations
@@ -31,6 +41,12 @@ from repro.world.lidar import LidarScan
 L_OCC = 0.9
 L_FREE = -0.4
 L_CLAMP = 10.0
+
+#: scanMatch's hill-climb directions in the order it tries them, as
+#: unit moves in (x, y, theta): +x, -x, +y, -y, +theta, -theta.
+_DIRECTIONS = np.array(
+    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.float64
+)
 
 
 @dataclass(frozen=True)
@@ -59,30 +75,22 @@ class GMappingConfig:
             raise ValueError("beam counts must be >= 1")
 
 
-@dataclass
-class Particle:
-    """One SLAM hypothesis: pose, private map, weight, RNG stream."""
-
-    pose: np.ndarray  # [x, y, theta]
-    log_odds: np.ndarray  # (rows, cols) float32
-    weight: float
-    rng: np.random.Generator
-    match_score: float = 0.0
-
-    def copy_from(self, other: Particle) -> None:
-        """Adopt another particle's state (used by resampling).
-
-        The RNG stream is *not* copied — each slot keeps its own
-        stream, preserving determinism under any resample pattern.
-        """
-        self.pose = other.pose.copy()
-        self.log_odds = other.log_odds.copy()
-        self.weight = other.weight
-        self.match_score = other.match_score
-
-
 class GMapping:
-    """Serial RBPF SLAM front end."""
+    """Serial RBPF SLAM front end over stacked particle arrays.
+
+    Attributes
+    ----------
+    poses:
+        ``(P, 3)`` float64 ``[x, y, theta]`` per particle.
+    log_odds:
+        ``(P, rows, cols)`` float32 private map per particle.
+    weights, match_scores:
+        ``(P,)`` float64 normalized weight and last scanMatch score.
+    rngs:
+        One generator per particle slot. Resampling copies poses and
+        maps between slots but never streams, so the filter is
+        deterministic under any resample pattern.
+    """
 
     def __init__(
         self,
@@ -92,20 +100,21 @@ class GMapping:
     ) -> None:
         self.config = config
         master = rng if rng is not None else seeded_rng(0)
-        streams = split_rng(master, config.n_particles)
-        pose0 = initial_pose.as_array()
-        self.particles = [
-            Particle(
-                pose=pose0.copy(),
-                log_odds=np.zeros((config.rows, config.cols), dtype=np.float32),
-                weight=1.0 / config.n_particles,
-                rng=streams[i],
-            )
-            for i in range(config.n_particles)
-        ]
+        n = config.n_particles
+        self.rngs = split_rng(master, n)
+        self.poses = np.tile(initial_pose.as_array(), (n, 1))
+        self.log_odds = np.zeros((n, config.rows, config.cols), dtype=np.float32)
+        self.weights = np.full(n, 1.0 / n)
+        self.match_scores = np.zeros(n)
         self.scans_processed = 0
         self.resamples = 0
         self.neff_history: list[float] = []
+        # scanMatch move per (round, direction): the round's step on the
+        # direction's axis and +0.0 on the other two
+        steps = 0.5 ** np.arange(config.search_rounds)[:, None] * [
+            config.search_step_m, config.search_step_m, config.search_step_rad
+        ]
+        self._moves = _DIRECTIONS * steps[:, None, :]
 
     # ------------------------------------------------------------------
     # Main entry
@@ -116,16 +125,16 @@ class GMapping:
         match_pts, match_r = self._subsample(scan, self.config.match_beams)
         map_pts_a, map_r = self._subsample(scan, self.config.map_beams)
 
-        for p in self.particles:
-            self._motion_update(p, odom_delta)
+        self._motion_update(odom_delta)
 
-        self._scan_match_all(match_r, match_pts, range(len(self.particles)))
+        everyone = np.arange(len(self.weights))
+        self._scan_match_all(match_r, match_pts, everyone)
 
         self._update_tree_weights()
-        if self._neff() < self.config.resample_neff_frac * len(self.particles):
+        if self._neff() < self.config.resample_neff_frac * len(self.weights):
             self._resample()
 
-        self._map_update_all(map_r, map_pts_a, scan.range_max, range(len(self.particles)))
+        self._map_update_all(map_r, map_pts_a, everyone)
 
         self.scans_processed += 1
         return self.estimate()
@@ -142,177 +151,211 @@ class GMapping:
         take = idx[:: max(1, len(idx) // n)][:n]
         return scan.angles[take], scan.ranges[take]
 
-    def _motion_update(self, p: Particle, delta: Pose2D) -> None:
+    def _motion_update(self, delta: Pose2D) -> None:
+        """Sample every particle's odometry noise from its own stream."""
         cfg = self.config
         trans = np.hypot(delta.x, delta.y)
         rot = abs(delta.theta)
-        dx = delta.x + p.rng.normal(0, cfg.alpha_trans * trans + 1e-4)
-        dy = delta.y + p.rng.normal(0, cfg.alpha_trans * trans + 1e-4)
-        dth = delta.theta + p.rng.normal(0, cfg.alpha_rot * rot + cfg.alpha_trans * trans + 1e-4)
-        th = p.pose[2]
-        c, s = np.cos(th), np.sin(th)
-        p.pose[0] += c * dx - s * dy
-        p.pose[1] += s * dx + c * dy
-        p.pose[2] = normalize_angle(th + dth)
+        sd_t = cfg.alpha_trans * trans + 1e-4
+        sd_r = cfg.alpha_rot * rot + cfg.alpha_trans * trans + 1e-4
+        for rng, pose in zip(self.rngs, self.poses):
+            dx = delta.x + rng.normal(0, sd_t)
+            dy = delta.y + rng.normal(0, sd_t)
+            dth = delta.theta + rng.normal(0, sd_r)
+            th = pose[2]
+            c, s = np.cos(th), np.sin(th)
+            pose[0] += c * dx - s * dy
+            pose[1] += s * dx + c * dy
+            pose[2] = normalize_angle(th + dth)
 
     # -- scanMatch ------------------------------------------------------
-    def _scan_match_all(self, ranges, angles, indices) -> None:
+    def _scan_match_all(self, ranges, angles, indices: np.ndarray) -> None:
         """Run scanMatch for the given particle indices (hook point for
         the thread-parallel subclass)."""
-        for i in indices:
-            self._scan_match(self.particles[i], ranges, angles)
+        self._scan_match(indices, ranges, angles)
 
-    def _scan_match(self, p: Particle, ranges: np.ndarray, angles: np.ndarray) -> None:
-        """Hill-climbing pose refinement against the particle's own map.
+    def _scan_match(self, idx: np.ndarray, ranges: np.ndarray, angles: np.ndarray) -> None:
+        """Hill-climbing pose refinement of particles ``idx``, each
+        against its own map, all climbing at once.
 
-        This is the paper's 98%-of-SLAM-time hot spot.
+        This is the paper's 98%-of-SLAM-time hot spot. A particle's
+        climb runs ``search_rounds`` rounds of passes over the six
+        directions, halving the steps each round; a pass takes each
+        direction that improves the score and goes on from the new
+        pose, and a round repeats its pass until one improves
+        nothing. Each loop iteration scores, for every particle still
+        climbing, the directions left in its pass from its current pose,
+        and takes the first that improves the score.
         """
         if len(ranges) == 0 or self.scans_processed == 0:
-            p.match_score = 0.0
+            self.match_scores[idx] = 0.0
             return
-        cfg = self.config
-        step_t, step_r = cfg.search_step_m, cfg.search_step_rad
-        pose = p.pose.copy()
-        best = self._score(p.log_odds, pose, ranges, angles)
-        for _ in range(cfg.search_rounds):
-            improved = True
-            while improved:
-                improved = False
-                for d in (
-                    (step_t, 0.0, 0.0),
-                    (-step_t, 0.0, 0.0),
-                    (0.0, step_t, 0.0),
-                    (0.0, -step_t, 0.0),
-                    (0.0, 0.0, step_r),
-                    (0.0, 0.0, -step_r),
-                ):
-                    cand = pose + np.asarray(d)
-                    s = self._score(p.log_odds, cand, ranges, angles)
-                    if s > best:
-                        best, pose = s, cand
-                        improved = True
-            step_t *= 0.5
-            step_r *= 0.5
-        pose[2] = normalize_angle(pose[2])
-        p.pose = pose
-        p.match_score = best / max(len(ranges), 1)
+        n_dirs = len(_DIRECTIONS)
+        poses = self.poses[idx]
+        best = self._score(idx, poses, ranges, angles)
+        rnd = np.zeros(len(idx), dtype=np.int64)  # search round
+        nxt = np.zeros(len(idx), dtype=np.int64)  # next direction in the pass
+        improved = np.zeros(len(idx), dtype=bool)  # the pass moved
+        climbing = np.flatnonzero(rnd < self.config.search_rounds)
+        while climbing.size:
+            left = n_dirs - nxt[climbing]
+            row = np.repeat(climbing, left)
+            first = np.repeat(np.cumsum(left) - left, left)
+            d = np.arange(row.size) - first + nxt[row]
+            cand = poses[row] + self._moves[rnd[row], d]
+            s = self._score(idx[row], cand, ranges, angles)
+            # rows are grouped, so a row's first improving candidate is
+            # the first improving entry of its group
+            up = np.flatnonzero(s > best[row])
+            up = up[np.diff(row[up], prepend=-1) != 0]
+            nxt[climbing] = n_dirs
+            moved = row[up]
+            poses[moved] = cand[up]
+            best[moved] = s[up]
+            improved[moved] = True
+            nxt[moved] = d[up] + 1
+            done = climbing[nxt[climbing] == n_dirs]
+            rnd[done[~improved[done]]] += 1
+            nxt[done] = 0
+            improved[done] = False
+            climbing = climbing[rnd[climbing] < self.config.search_rounds]
+        for pose in poses:
+            pose[2] = normalize_angle(pose[2])
+        self.poses[idx] = poses
+        self.match_scores[idx] = best / max(len(ranges), 1)
 
-    def _score(self, log_odds, pose, ranges, angles) -> float:
-        """Endpoint-occupancy score of a pose candidate (vectorized)."""
-        cfg = self.config
-        th = pose[2] + angles
-        ex = pose[0] + ranges * np.cos(th)
-        ey = pose[1] + ranges * np.sin(th)
-        r = np.floor((ey - cfg.origin.y) / cfg.resolution + 0.5).astype(np.int64)
-        c = np.floor((ex - cfg.origin.x) / cfg.resolution + 0.5).astype(np.int64)
-        ok = (r >= 0) & (r < cfg.rows) & (c >= 0) & (c < cfg.cols)
-        if not ok.any():
-            return -1e9
-        lo = log_odds[r[ok], c[ok]]
+    def _score(self, owners: np.ndarray, poses: np.ndarray, ranges, angles) -> np.ndarray:
+        """Endpoint-occupancy score of each pose candidate ``poses[k]``
+        against the map of particle ``owners[k]``.
+
+        Endpoints off the map cost 0.5 each; a candidate with every
+        endpoint off the map scores -1e9.
+        """
+        th = poses[:, 2:3] + angles
+        ex = poses[:, 0:1] + ranges * np.cos(th)
+        ey = poses[:, 1:2] + ranges * np.sin(th)
+        r, c, ok = self._cells(ex, ey)
+        row = np.nonzero(ok)[0]
+        lo = self.log_odds[owners[row], r[ok], c[ok]]
         # occupancy probability of each endpoint cell
         probs = 1.0 / (1.0 + np.exp(-lo))
-        return float(np.sum(probs) - 0.5 * np.sum(~ok))
+        # Left-align every candidate's in-map probabilities in a row of
+        # ``packed``, rows sorted by their count, and sum each block of
+        # equal-count rows along its rows: a row's sum is then exactly
+        # the pairwise sum np.sum gives it alone (np.add.reduceat, or
+        # summing zero-padded rows, is not).
+        n_ok = np.count_nonzero(ok, axis=1)
+        order = np.argsort(n_ok, kind="stable")
+        slot = np.empty_like(order)
+        slot[order] = np.arange(len(order))
+        packed = np.zeros(ok.shape, dtype=np.float32)
+        packed[slot[row], (np.cumsum(ok, axis=1) - 1)[ok]] = probs
+        counts = n_ok[order]
+        cuts = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(order)]
+        sums = np.empty(len(order), dtype=np.float32)
+        for a, b in zip(cuts, cuts[1:]):
+            sums[a:b] = packed[a:b, : counts[a]].sum(axis=1)
+        score = sums[slot].astype(np.float64) - 0.5 * (ok.shape[1] - n_ok)
+        score[n_ok == 0] = -1e9
+        return score
 
     # -- weights / resampling --------------------------------------------
     def _update_tree_weights(self) -> None:
         """Normalize weights from match scores (gmapping's
         updateTreeWeights analog)."""
         cfg = self.config
-        scores = np.array([p.match_score for p in self.particles])
-        w = np.array([p.weight for p in self.particles])
-        w = w * np.exp(cfg.weight_scale * (scores - scores.max()))
+        scores = self.match_scores
+        w = self.weights * np.exp(cfg.weight_scale * (scores - scores.max()))
         total = w.sum()
         if total <= 0 or not np.isfinite(total):
             w = np.full(len(w), 1.0 / len(w))
         else:
             w /= total
-        for p, wi in zip(self.particles, w):
-            p.weight = float(wi)
+        self.weights = w
         self.neff_history.append(self._neff())
 
     def _neff(self) -> float:
-        w = np.array([p.weight for p in self.particles])
-        return float(1.0 / np.sum(w**2))
+        return float(1.0 / np.sum(self.weights**2))
 
     def _resample(self) -> None:
         """Selective low-variance resampling; maps are deep-copied."""
-        n = len(self.particles)
-        w = np.array([p.weight for p in self.particles])
+        n = len(self.weights)
         # The resample draw uses particle 0's stream (deterministic).
-        positions = (self.particles[0].rng.random() + np.arange(n)) / n
-        cumsum = np.cumsum(w)
+        positions = (self.rngs[0].random() + np.arange(n)) / n
+        cumsum = np.cumsum(self.weights)
         cumsum[-1] = 1.0
         idx = np.searchsorted(cumsum, positions)
-        snapshot = [
-            (self.particles[i].pose.copy(), self.particles[i].log_odds.copy(), self.particles[i].match_score)
-            for i in idx
-        ]
-        for p, (pose, lo, ms) in zip(self.particles, snapshot):
-            p.pose, p.log_odds, p.match_score = pose, lo, ms
-            p.weight = 1.0 / n
+        self.poses = self.poses[idx]
+        self.log_odds = self.log_odds[idx]
+        self.match_scores = self.match_scores[idx]
+        self.weights = np.full(n, 1.0 / n)
         self.resamples += 1
 
     # -- map integration ---------------------------------------------------
-    def _map_update_all(self, ranges, angles, range_max, indices) -> None:
-        """Integrate the scan into each particle's map (hook point)."""
-        for i in indices:
-            self._map_update(self.particles[i], ranges, angles, range_max)
+    def _map_update_all(self, ranges, angles, indices: np.ndarray) -> None:
+        """Integrate the scan into the given particles' maps (hook point)."""
+        self._map_update(indices, ranges, angles)
 
-    def _map_update(self, p: Particle, ranges, angles, range_max: float) -> None:
-        """Vectorized beam integration into one particle's log-odds map.
+    def _map_update(self, idx: np.ndarray, ranges, angles) -> None:
+        """Vectorized beam integration into the log-odds maps of
+        particles ``idx``.
 
-        All beams are sampled simultaneously at half-cell steps; free
-        cells get one batched decrement, endpoint cells one batched
-        increment.
+        Every beam is sampled at half-cell steps short of its endpoint;
+        the distinct free cells get one batched decrement, the distinct
+        endpoint cells one batched increment.
         """
         if len(ranges) == 0:
             return
-        cfg = self.config
-        pose = p.pose
-        th = pose[2] + angles
-        cth, sth = np.cos(th), np.sin(th)
-
-        step = cfg.resolution
+        step = self.config.resolution
         n_steps = int(np.ceil(ranges.max() / step))
-        if n_steps >= 1:
-            # distances (S,) x beams (B,) -> (S, B) sample points
-            ts = (np.arange(n_steps) + 0.5) * step
-            live = ts[:, None] < (ranges[None, :] - 0.5 * step)
-            px = pose[0] + ts[:, None] * cth[None, :]
-            py = pose[1] + ts[:, None] * sth[None, :]
-            r = np.floor((py - cfg.origin.y) / cfg.resolution + 0.5).astype(np.int64)
-            c = np.floor((px - cfg.origin.x) / cfg.resolution + 0.5).astype(np.int64)
-            ok = live & (r >= 0) & (r < cfg.rows) & (c >= 0) & (c < cfg.cols)
-            flat = np.unique(r[ok] * cfg.cols + c[ok])
-            p.log_odds.ravel()[flat] = np.maximum(
-                p.log_odds.ravel()[flat] + np.float32(L_FREE), -L_CLAMP
-            )
+        # the (distance, beam) pairs of every free-space sample
+        ts = (np.arange(n_steps) + 0.5) * step
+        s, b = np.nonzero(ts[:, None] < (ranges[None, :] - 0.5 * step))
+        t = ts[s]
+        for i in idx:
+            pose = self.poses[i]
+            lo = self.log_odds[i].ravel()
+            th = pose[2] + angles
+            cth, sth = np.cos(th), np.sin(th)
+            free = self._distinct_cells(pose[0] + t * cth[b], pose[1] + t * sth[b])
+            lo[free] = np.maximum(lo[free] + np.float32(L_FREE), -L_CLAMP)
+            hit = self._distinct_cells(pose[0] + ranges * cth, pose[1] + ranges * sth)
+            lo[hit] = np.minimum(lo[hit] + np.float32(L_OCC), L_CLAMP)
 
-        ex = pose[0] + ranges * cth
-        ey = pose[1] + ranges * sth
-        r = np.floor((ey - cfg.origin.y) / cfg.resolution + 0.5).astype(np.int64)
-        c = np.floor((ex - cfg.origin.x) / cfg.resolution + 0.5).astype(np.int64)
-        ok = (r >= 0) & (r < cfg.rows) & (c >= 0) & (c < cfg.cols)
-        flat = np.unique(r[ok] * cfg.cols + c[ok])
-        p.log_odds.ravel()[flat] = np.minimum(
-            p.log_odds.ravel()[flat] + np.float32(L_OCC), L_CLAMP
-        )
+    def _cells(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Map row and column of each world point, and whether it is on
+        the map."""
+        cfg = self.config
+        r = np.floor((y - cfg.origin.y) / cfg.resolution + 0.5).astype(np.int64)
+        c = np.floor((x - cfg.origin.x) / cfg.resolution + 0.5).astype(np.int64)
+        # a negative index reads as a huge unsigned one
+        ok = (r.view(np.uint64) < cfg.rows) & (c.view(np.uint64) < cfg.cols)
+        return r, c, ok
+
+    def _distinct_cells(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Sorted distinct flat indices of the map cells holding the
+        world points (x, y): what ``np.unique`` returns, by a boolean
+        scatter instead of a sort."""
+        r, c, ok = self._cells(x, y)
+        seen = np.zeros(self.config.rows * self.config.cols, dtype=bool)
+        seen[r[ok] * self.config.cols + c[ok]] = True
+        return np.flatnonzero(seen)
 
     # ------------------------------------------------------------------
     # Outputs
     # ------------------------------------------------------------------
-    def best_particle(self) -> Particle:
-        """The highest-weight particle."""
-        return max(self.particles, key=lambda p: p.weight)
+    def best_index(self) -> int:
+        """Index of the highest-weight particle (the first on ties)."""
+        return int(np.argmax(self.weights))
 
     def estimate(self) -> Pose2D:
         """Pose of the best particle."""
-        return Pose2D.from_array(self.best_particle().pose)
+        return Pose2D.from_array(self.poses[self.best_index()])
 
     def map_estimate(self) -> OccupancyGrid:
         """Best particle's map thresholded into an OccupancyGrid."""
         cfg = self.config
-        lo = self.best_particle().log_odds
+        lo = self.log_odds[self.best_index()]
         data = np.full(lo.shape, int(CellState.UNKNOWN), dtype=np.int8)
         data[lo < -0.2] = int(CellState.FREE)
         data[lo > 0.2] = int(CellState.OCCUPIED)
@@ -320,8 +363,8 @@ class GMapping:
 
     def state_bytes(self) -> int:
         """Serialized size of the full particle set (migration cost)."""
-        per = self.particles[0].log_odds.nbytes + 3 * 8 + 8
-        return len(self.particles) * per
+        per = self.log_odds[0].nbytes + 3 * 8 + 8
+        return len(self.weights) * per
 
 
 #: Pose candidates scanMatch evaluates per particle (hill-climb budget).

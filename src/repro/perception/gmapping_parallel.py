@@ -2,7 +2,9 @@
 
 The paper's acceleration: a pool of N threads, each responsible for
 M/N particles' ``scanMatch`` (and here also their map integration —
-both are particle-independent). Because every particle owns a private
+both are particle-independent). Each thread runs the batched kernels
+of :class:`~repro.perception.gmapping.GMapping` on its chunk of
+particle indices. Because every particle owns a private
 RNG stream, the parallel filter produces *bit-identical* state to the
 serial one; only wall-clock time changes. That property is asserted by
 the test suite and is what lets the modeled speedups of
@@ -35,23 +37,17 @@ class ParallelGMapping(GMapping):
         self.n_threads = n_threads
         self._pool = WorkerPool(n_threads)
 
-    def _scan_match_all(self, ranges, angles, indices) -> None:
-        idx = list(indices)
-
+    def _scan_match_all(self, ranges, angles, indices: np.ndarray) -> None:
         def run_chunk(_i: int, a: int, b: int) -> None:
-            for j in idx[a:b]:
-                self._scan_match(self.particles[j], ranges, angles)
+            self._scan_match(indices[a:b], ranges, angles)
 
-        self._pool.map_chunks(run_chunk, len(idx))
+        self._pool.map_chunks(run_chunk, len(indices))
 
-    def _map_update_all(self, ranges, angles, range_max, indices) -> None:
-        idx = list(indices)
-
+    def _map_update_all(self, ranges, angles, indices: np.ndarray) -> None:
         def run_chunk(_i: int, a: int, b: int) -> None:
-            for j in idx[a:b]:
-                self._map_update(self.particles[j], ranges, angles, range_max)
+            self._map_update(indices[a:b], ranges, angles)
 
-        self._pool.map_chunks(run_chunk, len(idx))
+        self._pool.map_chunks(run_chunk, len(indices))
 
     def close(self) -> None:
         """Release pool threads."""

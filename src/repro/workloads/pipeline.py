@@ -152,6 +152,7 @@ class SlamNode(Node):
         self.nominal_particles = nominal_particles or slam.config.n_particles
         self.parallel_profile = SLAM_PROFILE
         self._last_odom: Pose2D | None = None
+        self._pending_odom: Pose2D | None = None
         self._scan_count = 0
 
     def on_start(self) -> None:
@@ -164,7 +165,7 @@ class SlamNode(Node):
 
     def on_scan(self, msg: ScanMsg) -> None:
         self.charge(gmapping_scan_cycles(self.nominal_particles))
-        odom = getattr(self, "_pending_odom", None)
+        odom = self._pending_odom
         if odom is None:
             delta = Pose2D()
         elif self._last_odom is None:
@@ -186,14 +187,15 @@ class SlamNode(Node):
         return self.slam.state_bytes()
 
     def snapshot(self) -> object:
-        # per-particle trajectory + map; the particles' rng streams are
+        # particle poses + maps; the particles' rng streams are
         # deliberately NOT captured — a restored filter continues from
         # the live stream, like a process resuming from a core image.
+        slam = self.slam
         return {
-            "particles": [
-                (p.pose.copy(), p.log_odds.copy(), p.weight, p.match_score)
-                for p in self.slam.particles
-            ],
+            "poses": slam.poses.copy(),
+            "log_odds": slam.log_odds.copy(),
+            "weights": slam.weights.copy(),
+            "match_scores": slam.match_scores.copy(),
             "last_odom": self._last_odom,
             "scan_count": self._scan_count,
         }
@@ -201,13 +203,11 @@ class SlamNode(Node):
     def restore(self, state: object) -> None:
         if state is None:
             return
-        for p, (pose, log_odds, weight, score) in zip(
-            self.slam.particles, state["particles"]
-        ):
-            p.pose = pose.copy()
-            p.log_odds = log_odds.copy()
-            p.weight = weight
-            p.match_score = score
+        slam = self.slam
+        slam.poses = state["poses"].copy()
+        slam.log_odds = state["log_odds"].copy()
+        slam.weights = state["weights"].copy()
+        slam.match_scores = state["match_scores"].copy()
         self._last_odom = state["last_odom"]
         self._scan_count = state["scan_count"]
 

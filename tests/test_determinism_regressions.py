@@ -104,6 +104,6 @@ class TestPerceptionRngRouting:
 
         def streams() -> bytes:
             g = GMapping(GMappingConfig(n_particles=4, rows=40, cols=40))
-            return _canon([p.rng.random() for p in g.particles])
+            return _canon([rng.random() for rng in g.rngs])
 
         assert streams() == streams()
