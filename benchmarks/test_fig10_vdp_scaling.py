@@ -3,8 +3,9 @@
 Asserts the paper's shape: time scales with trajectory samples,
 parallelization saturates beyond 4 threads, and the high-frequency
 gateway — not the manycore cloud — wins VDP offloading (paper:
-23.92x vs 17.29x). Includes a real measurement of the vectorized
-costmap + parallel-DWA + mux pipeline.
+23.92x vs 17.29x). The thread axis comes from the calibrated
+execution model. Includes a real measurement of the vectorized
+costmap + DWA + mux pipeline.
 """
 
 
@@ -40,10 +41,10 @@ def test_fig10_modeled_sweep(benchmark):
 
 def test_fig10_real_vdp_pipeline(benchmark):
     """Time the real VDP tick and sanity-check sample scaling."""
-    t_small = measure_real_vdp(n_samples=200, n_threads=1, n_ticks=6)
+    t_small = measure_real_vdp(n_samples=200, n_ticks=6)
     t_big = benchmark.pedantic(
         measure_real_vdp,
-        kwargs={"n_samples": 2000, "n_threads": 1, "n_ticks": 6},
+        kwargs={"n_samples": 2000, "n_ticks": 6},
         rounds=1,
         iterations=1,
     )

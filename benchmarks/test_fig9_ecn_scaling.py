@@ -1,20 +1,18 @@
 """Figure 9 benchmark: ECN (SLAM) acceleration across platforms.
 
-Two parts:
-
-* the modeled cross-platform sweep (the actual figure), asserting the
-  paper's shape — time rises with particles, threads help, the
-  manycore cloud beats the high-frequency gateway on ECN work;
-* real thread-pool measurements of ``ParallelGMapping`` on this
-  machine, asserting the parallel decomposition actually speeds up
-  real particle batches.
+Regenerates the modeled cross-platform sweep (the actual figure) and
+asserts the paper's shape: time rises with particles, threads help,
+the manycore cloud beats the high-frequency gateway on ECN work. The
+thread speedups come from the calibrated execution model; the real
+filter's cost against particles is checked by the tier-1 experiment
+tests.
 """
 
 
 
 from benchmarks.conftest import render
 from repro.experiments import run_fig9
-from repro.experiments.fig9_ecn import PARTICLE_COUNTS, measure_real_slam
+from repro.experiments.fig9_ecn import PARTICLE_COUNTS
 
 
 def test_fig9_modeled_sweep(benchmark):
@@ -40,16 +38,3 @@ def test_fig9_modeled_sweep(benchmark):
     assert 15 < gw < 60
     assert 25 < cloud < 70
 
-
-def test_fig9_real_parallel_slam(benchmark):
-    """The real ParallelGMapping speeds up with threads on this host."""
-    serial = measure_real_slam(n_particles=12, n_threads=1, n_scans=8)
-    parallel = benchmark.pedantic(
-        measure_real_slam,
-        kwargs={"n_particles": 12, "n_threads": 4, "n_scans": 8},
-        rounds=1,
-        iterations=1,
-    )
-    # numpy kernels release the GIL only partially; any real speedup
-    # validates the decomposition without being flaky on loaded CI
-    assert parallel < serial * 1.1

@@ -16,7 +16,6 @@ from repro.compute.platform import (
 from repro.compute.executor import ExecutionModel, ParallelProfile
 from repro.compute.energy import ComputeEnergyMeter
 from repro.compute.host import Host
-from repro.compute.threadpool import WorkerPool
 
 __all__ = [
     "PlatformSpec",
@@ -27,5 +26,4 @@ __all__ = [
     "ParallelProfile",
     "ComputeEnergyMeter",
     "Host",
-    "WorkerPool",
 ]

@@ -3,13 +3,12 @@
 Path Tracking reimplements ROS ``base_local_planner``'s Trajectory
 Rollout / DWA: sample velocities, forward-simulate trajectories, score
 against costmap + path + goal, pick the best. §V parallelizes the
-scoring loop — :class:`ParallelScorer` is that thread-pool version.
+scoring loop; that speedup is modeled through the execution model.
 The Velocity Multiplexer reimplements Yujin's yocs_cmd_vel_mux.
 """
 
 from repro.control.trajectory import TrajectoryRollout, TrajectorySet
 from repro.control.dwa import DwaConfig, DwaPlanner, dwa_cycles
-from repro.control.dwa_parallel import ParallelScorer
 from repro.control.velocity_mux import VelocityMux, MuxInput, mux_cycles
 from repro.control.safety import SafetyController
 from repro.control.velocity_law import max_velocity_oa
@@ -20,7 +19,6 @@ __all__ = [
     "DwaConfig",
     "DwaPlanner",
     "dwa_cycles",
-    "ParallelScorer",
     "VelocityMux",
     "MuxInput",
     "mux_cycles",

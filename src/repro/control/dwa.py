@@ -3,10 +3,10 @@
 Per control tick: sample the dynamic window, roll out N trajectories,
 score each against (goal progress, global-path proximity, obstacle
 clearance, velocity preference), discard colliding ones, command the
-winner. Scoring is the §V parallelization target: a
-:class:`~repro.control.dwa_parallel.ParallelScorer` can split the
-candidate set over threads; serial and parallel pick the identical
-trajectory (lowest-index argmax tie-break).
+winner (lowest-index argmax tie-break). Scoring is the loop §V
+parallelizes; its modeled cost on each platform is :func:`dwa_cycles`
+through the execution model, and here it is one vectorized pass over
+all candidates.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ class DwaPlanner:
         self,
         costmap: LayeredCostmap,
         config: DwaConfig = DwaConfig(),
-        scorer: "TrajectoryScorer | None" = None,
     ) -> None:
         self.costmap = costmap
         self.config = config
@@ -71,7 +70,6 @@ class DwaPlanner:
             max_accel=config.max_accel,
             max_ang_accel=config.max_ang_accel,
         )
-        self.scorer = scorer or TrajectoryScorer()
         self.path: np.ndarray = np.empty((0, 2))
         self.ticks = 0
 
@@ -101,20 +99,19 @@ class DwaPlanner:
             return DwaResult(0.0, 0.0, 0.0, 0, goal_reached=True)
 
         # local target: a point ~0.7 m ahead on the global path, so the
-        # scorer follows the path around obstacles instead of pulling
+        # scoring follows the path around obstacles instead of pulling
         # straight toward the (possibly occluded) final goal
-        self._target = self._lookahead(pose)
+        target = self._lookahead(pose)
         v, w = self.rollout.sample_window(
             v_now, w_now, v_limit, w_limit, cfg.n_samples
         )
         traj = self.rollout.rollout(pose.x, pose.y, pose.theta, v, w)
-        scores = self.scorer.score(traj, self)
+        scores = self._score(traj, target)
         best = int(np.argmax(scores))
         n_valid = int(np.sum(np.isfinite(scores)))
         if not np.isfinite(scores[best]):
             # everything collides: rotate in place toward the path
-            bearing = np.arctan2(self._lookahead(pose)[1] - pose.y,
-                                 self._lookahead(pose)[0] - pose.x)
+            bearing = np.arctan2(target[1] - pose.y, target[0] - pose.x)
             err = normalize_angle(float(bearing) - pose.theta)
             return DwaResult(0.0, float(np.clip(2.0 * err, -w_limit, w_limit)),
                              -np.inf, 0, stuck=True)
@@ -127,8 +124,7 @@ class DwaPlanner:
             # still outranks turning, forever). Standing still can never
             # change the scores, so this is a deadlock: escape by
             # rotating toward the path, like the all-colliding branch.
-            bearing = np.arctan2(self._target[1] - pose.y,
-                                 self._target[0] - pose.x)
+            bearing = np.arctan2(target[1] - pose.y, target[0] - pose.x)
             err = normalize_angle(float(bearing) - pose.theta)
             if abs(err) > cfg.yaw_tolerance_rad:
                 return DwaResult(0.0, float(np.clip(2.0 * err, -w_limit, w_limit)),
@@ -144,36 +140,24 @@ class DwaPlanner:
         j = int(np.searchsorted(cum, dist))
         return self.path[min(i + j, len(self.path) - 1)]
 
-
-class TrajectoryScorer:
-    """Scores a :class:`TrajectorySet` (the parallelizable hot loop).
-
-    ``score_range`` evaluates one contiguous slice of candidates —
-    the unit the thread pool distributes.
-    """
-
-    def score(self, traj: TrajectorySet, planner: DwaPlanner) -> np.ndarray:
-        """Scores for all N candidates; -inf marks colliding ones."""
-        return self.score_range(traj, planner, 0, traj.n)
-
-    def score_range(
-        self, traj: TrajectorySet, planner: DwaPlanner, start: int, stop: int
-    ) -> np.ndarray:
-        """Score candidates [start, stop) — vectorized over the slice."""
-        cfg = planner.config
-        cm = planner.costmap
-        x = traj.x[start:stop]
-        y = traj.y[start:stop]
+    def _score(self, traj: TrajectorySet, target: np.ndarray) -> np.ndarray:
+        """Score every candidate against progress toward ``target``, the
+        global path, obstacle clearance and speed; -inf marks colliding
+        ones."""
+        cfg = self.config
+        cm = self.costmap
+        x = traj.x
+        y = traj.y
         n, t = x.shape
 
-        # obstacle cost along each trajectory (one gather for the slice)
+        # obstacle cost along each trajectory (one gather for all of them)
         pts = np.stack([x.ravel(), y.ravel()], axis=1)
         costs = cm.costs_at_world(pts).reshape(n, t)
         worst = costs.max(axis=1)
         # escape rule: when the robot already sits inside the inflation
         # ring, only truly lethal trajectories are discarded, otherwise
         # it could never leave the ring it drifted into
-        start_cost = cm.cost_at_world(float(x[0, 0]), float(y[0, 0])) if n else 0
+        start_cost = cm.cost_at_world(float(x[0, 0]), float(y[0, 0]))
         threshold = (
             CostValues.LETHAL if start_cost >= CostValues.INSCRIBED else CostValues.INSCRIBED
         )
@@ -181,13 +165,12 @@ class TrajectoryScorer:
         proximity = worst / CostValues.INSCRIBED  # 0 = clear, ~1 = touching
 
         # progress toward the lookahead target on the global path
-        goal = getattr(planner, "_target", planner.path[-1])
-        d_end = np.hypot(goal[0] - x[:, -1], goal[1] - y[:, -1])
-        d_now = np.hypot(goal[0] - x[:, 0], goal[1] - y[:, 0])
+        d_end = np.hypot(target[0] - x[:, -1], target[1] - y[:, -1])
+        d_now = np.hypot(target[0] - x[:, 0], target[1] - y[:, 0])
         progress = d_now - d_end
 
         # path proximity: endpoint distance to the nearest path point
-        path = planner.path
+        path = self.path
         step = max(1, len(path) // 40)
         px = path[::step, 0][None, :]
         py = path[::step, 1][None, :]
@@ -195,8 +178,8 @@ class TrajectoryScorer:
             np.hypot(x[:, -1][:, None] - px, y[:, -1][:, None] - py), axis=1
         )
 
-        speed = traj.v[start:stop]
-        turn = np.abs(traj.w[start:stop])
+        speed = traj.v
+        turn = np.abs(traj.w)
 
         # clearance enters as a *penalty* so a stationary trajectory in
         # open space scores zero, never positive — otherwise stopping

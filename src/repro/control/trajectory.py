@@ -3,8 +3,8 @@
 All candidate trajectories are generated in one broadcast: the (N,)
 velocity samples and (T,) time steps expand to (N, T) pose arrays with
 no Python loop, following the HPC guide's vectorization rule. The
-resulting :class:`TrajectorySet` is what the (serial or parallel)
-scorer consumes.
+resulting :class:`TrajectorySet` is what
+:class:`~repro.control.dwa.DwaPlanner` scores.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ Expected shape (paper §VIII-B):
 * the high-frequency gateway achieves the best VDP acceleration
   (paper: 23.92x vs 17.29x on the cloud).
 
+The thread axis comes from the execution model only.
 ``measure_real_vdp`` times the real vectorized pipeline (costmap
-update + parallel DWA scoring + mux) for benchmark validation.
+update + DWA scoring + mux) for benchmark validation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.analysis.tables import Table, format_seconds
 from repro.compute.executor import DWA_PROFILE, ExecutionModel
 from repro.compute.platform import CLOUD_SERVER, EDGE_GATEWAY, PlatformSpec, TURTLEBOT3_PI
 from repro.control.dwa import DwaConfig, DwaPlanner, dwa_cycles
-from repro.control.dwa_parallel import ParallelScorer
 from repro.control.velocity_mux import VelocityMux, mux_cycles
 from repro.datasets.sequences import box_sequence
 from repro.perception.costmap import LayeredCostmap, costmap_update_cycles
@@ -116,19 +116,17 @@ def run_fig10(telemetry: Telemetry | None = None) -> Fig10Result:
 
 def measure_real_vdp(
     n_samples: int = 500,
-    n_threads: int = 1,
     n_ticks: int = 10,
 ) -> float:
     """Wall-clock seconds/tick of the real VDP stack.
 
-    One tick = costmap update from a recorded scan + parallel-scored
-    DWA + mux selection, as the pipeline runs it.
+    One tick = costmap update from a recorded scan + DWA + mux
+    selection, as the pipeline runs it.
     """
     world = box_world(8.0)
     seq = box_sequence(n_scans=min(n_ticks, 40))
     costmap = LayeredCostmap(static_map=world)
-    scorer = ParallelScorer(n_threads) if n_threads > 1 else None
-    dwa = DwaPlanner(costmap, DwaConfig(n_samples=n_samples), scorer=scorer)
+    dwa = DwaPlanner(costmap, DwaConfig(n_samples=n_samples))
     dwa.set_path(np.array([[2.0, 2.0], [6.0, 6.0]]))
     mux = VelocityMux()
     mux.add_input("path_tracking", 10)
@@ -143,6 +141,4 @@ def measure_real_vdp(
         mux.select(float(i))
         ticks += 1
     elapsed = time.perf_counter() - t0  # lint: ok(DET001): wall-clock benchmark of real compute
-    if scorer is not None:
-        scorer.close()
     return elapsed / ticks

@@ -10,9 +10,10 @@ platform's parallel execution model. The expected shape:
 * the manycore cloud server achieves the best ECN acceleration
   (paper: up to 40.84x vs 27.97x on the gateway).
 
-``measure_real_slam`` runs the *actual* ``ParallelGMapping`` on the
-recorded Intel-lab-like sequence so the pytest-benchmark harness can
-confirm the thread decomposition speeds up real work on real cores.
+The thread axis comes from the execution model only. ``measure_real_slam``
+times the real (serial) ``GMapping`` on the recorded Intel-lab-like
+sequence, so the tests can check that its cost grows with particles
+as the cycle model says.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from repro.analysis.tables import Table, format_seconds
 from repro.compute.executor import ExecutionModel, SLAM_PROFILE
 from repro.compute.platform import CLOUD_SERVER, EDGE_GATEWAY, PlatformSpec, TURTLEBOT3_PI
 from repro.datasets.sequences import intel_lab_sequence
-from repro.perception.gmapping import GMappingConfig, gmapping_scan_cycles
-from repro.perception.gmapping_parallel import ParallelGMapping
+from repro.perception.gmapping import GMapping, GMappingConfig, gmapping_scan_cycles
 from repro.sim.rng import seeded_rng
 from repro.telemetry import Telemetry
 
@@ -136,22 +136,19 @@ def _trace_reference_mission(telemetry: Telemetry, timeout_s: float = 20.0) -> N
 
 def measure_real_slam(
     n_particles: int = 10,
-    n_threads: int = 1,
     n_scans: int = 12,
     seed: int = 5,
 ) -> float:
-    """Wall-clock seconds/scan of the real parallel GMapping.
+    """Wall-clock seconds/scan of the real GMapping.
 
-    Replays the recorded lab sequence; used by the Fig. 9 benchmark to
-    validate the parallel decomposition on the test machine.
+    Replays the recorded lab sequence; the experiment tests use it to
+    check the real filter's cost against the particle axis.
     """
     seq = intel_lab_sequence(n_scans=n_scans)
     cfg = GMappingConfig(n_particles=n_particles, rows=200, cols=380, resolution=0.05)
-    with ParallelGMapping(
-        cfg, rng=seeded_rng(seed), initial_pose=seq.poses[0], n_threads=n_threads
-    ) as slam:
-        t0 = time.perf_counter()  # lint: ok(DET001): wall-clock benchmark of real compute
-        for scan, delta in seq:
-            slam.process(scan, delta)
-        elapsed = time.perf_counter() - t0  # lint: ok(DET001): wall-clock benchmark of real compute
+    slam = GMapping(cfg, rng=seeded_rng(seed), initial_pose=seq.poses[0])
+    t0 = time.perf_counter()  # lint: ok(DET001): wall-clock benchmark of real compute
+    for scan, delta in seq:
+        slam.process(scan, delta)
+    elapsed = time.perf_counter() - t0  # lint: ok(DET001): wall-clock benchmark of real compute
     return elapsed / len(seq)

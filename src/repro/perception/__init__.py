@@ -1,9 +1,10 @@
 """Perception: localization (AMCL), SLAM (GMapping RBPF), costmaps.
 
 These are from-scratch Python implementations of the exact ROS stacks
-the paper profiles — ``amcl``, ``gmapping`` and ``costmap_2d`` — with
-the serial and thread-pool-parallel variants of §V's cloud
-acceleration.
+the paper profiles — ``amcl``, ``gmapping`` and ``costmap_2d``. §V's
+thread-pool acceleration of ``scanMatch`` is modeled, not run: the
+execution model turns each scan's cycle count into time on a given
+platform and thread count.
 """
 
 from repro.perception.costmap import (
@@ -14,7 +15,6 @@ from repro.perception.costmap import (
 from repro.perception.likelihood import LikelihoodField
 from repro.perception.amcl import Amcl, AmclConfig
 from repro.perception.gmapping import GMapping, GMappingConfig
-from repro.perception.gmapping_parallel import ParallelGMapping
 
 __all__ = [
     "CostValues",
@@ -25,5 +25,4 @@ __all__ = [
     "AmclConfig",
     "GMapping",
     "GMappingConfig",
-    "ParallelGMapping",
 ]

@@ -20,10 +20,7 @@ score sums each candidate's endpoint probabilities as one row of an
 equal-length block, the same pairwise float32 sum a 1-D ``np.sum``
 gives, so the result is bit-identical to scoring candidates one by
 one. Only the motion update stays per particle, because every particle
-slot owns an independent RNG stream; that is also what lets the
-thread-parallel subclass
-(:class:`~repro.perception.gmapping_parallel.ParallelGMapping`)
-produce bit-identical maps to the serial filter.
+slot owns an independent RNG stream.
 """
 
 from __future__ import annotations
@@ -126,15 +123,13 @@ class GMapping:
         map_pts_a, map_r = self._subsample(scan, self.config.map_beams)
 
         self._motion_update(odom_delta)
-
-        everyone = np.arange(len(self.weights))
-        self._scan_match_all(match_r, match_pts, everyone)
+        self._scan_match(match_r, match_pts)
 
         self._update_tree_weights()
         if self._neff() < self.config.resample_neff_frac * len(self.weights):
             self._resample()
 
-        self._map_update_all(map_r, map_pts_a, everyone)
+        self._map_update(map_r, map_pts_a)
 
         self.scans_processed += 1
         return self.estimate()
@@ -169,14 +164,9 @@ class GMapping:
             pose[2] = normalize_angle(th + dth)
 
     # -- scanMatch ------------------------------------------------------
-    def _scan_match_all(self, ranges, angles, indices: np.ndarray) -> None:
-        """Run scanMatch for the given particle indices (hook point for
-        the thread-parallel subclass)."""
-        self._scan_match(indices, ranges, angles)
-
-    def _scan_match(self, idx: np.ndarray, ranges: np.ndarray, angles: np.ndarray) -> None:
-        """Hill-climbing pose refinement of particles ``idx``, each
-        against its own map, all climbing at once.
+    def _scan_match(self, ranges: np.ndarray, angles: np.ndarray) -> None:
+        """Hill-climbing pose refinement of every particle against its
+        own map, all climbing at once.
 
         This is the paper's 98%-of-SLAM-time hot spot. A particle's
         climb runs ``search_rounds`` rounds of passes over the six
@@ -188,14 +178,15 @@ class GMapping:
         and takes the first that improves the score.
         """
         if len(ranges) == 0 or self.scans_processed == 0:
-            self.match_scores[idx] = 0.0
+            self.match_scores[:] = 0.0
             return
         n_dirs = len(_DIRECTIONS)
-        poses = self.poses[idx]
-        best = self._score(idx, poses, ranges, angles)
-        rnd = np.zeros(len(idx), dtype=np.int64)  # search round
-        nxt = np.zeros(len(idx), dtype=np.int64)  # next direction in the pass
-        improved = np.zeros(len(idx), dtype=bool)  # the pass moved
+        poses = self.poses
+        n = len(poses)
+        best = self._score(np.arange(n), poses, ranges, angles)
+        rnd = np.zeros(n, dtype=np.int64)  # search round
+        nxt = np.zeros(n, dtype=np.int64)  # next direction in the pass
+        improved = np.zeros(n, dtype=bool)  # the pass moved
         climbing = np.flatnonzero(rnd < self.config.search_rounds)
         while climbing.size:
             left = n_dirs - nxt[climbing]
@@ -203,7 +194,7 @@ class GMapping:
             first = np.repeat(np.cumsum(left) - left, left)
             d = np.arange(row.size) - first + nxt[row]
             cand = poses[row] + self._moves[rnd[row], d]
-            s = self._score(idx[row], cand, ranges, angles)
+            s = self._score(row, cand, ranges, angles)
             # rows are grouped, so a row's first improving candidate is
             # the first improving entry of its group
             up = np.flatnonzero(s > best[row])
@@ -221,8 +212,7 @@ class GMapping:
             climbing = climbing[rnd[climbing] < self.config.search_rounds]
         for pose in poses:
             pose[2] = normalize_angle(pose[2])
-        self.poses[idx] = poses
-        self.match_scores[idx] = best / max(len(ranges), 1)
+        self.match_scores[:] = best / max(len(ranges), 1)
 
     def _score(self, owners: np.ndarray, poses: np.ndarray, ranges, angles) -> np.ndarray:
         """Endpoint-occupancy score of each pose candidate ``poses[k]``
@@ -292,13 +282,9 @@ class GMapping:
         self.resamples += 1
 
     # -- map integration ---------------------------------------------------
-    def _map_update_all(self, ranges, angles, indices: np.ndarray) -> None:
-        """Integrate the scan into the given particles' maps (hook point)."""
-        self._map_update(indices, ranges, angles)
-
-    def _map_update(self, idx: np.ndarray, ranges, angles) -> None:
-        """Vectorized beam integration into the log-odds maps of
-        particles ``idx``.
+    def _map_update(self, ranges, angles) -> None:
+        """Vectorized beam integration into every particle's log-odds
+        map.
 
         Every beam is sampled at half-cell steps short of its endpoint;
         the distinct free cells get one batched decrement, the distinct
@@ -312,9 +298,8 @@ class GMapping:
         ts = (np.arange(n_steps) + 0.5) * step
         s, b = np.nonzero(ts[:, None] < (ranges[None, :] - 0.5 * step))
         t = ts[s]
-        for i in idx:
-            pose = self.poses[i]
-            lo = self.log_odds[i].ravel()
+        for pose, grid in zip(self.poses, self.log_odds):
+            lo = grid.ravel()
             th = pose[2] + angles
             cth, sth = np.cos(th), np.sin(th)
             free = self._distinct_cells(pose[0] + t * cth[b], pose[1] + t * sth[b])

@@ -1,6 +1,5 @@
-"""Tests for platform specs, the execution model, energy, and the thread pool."""
+"""Tests for platform specs, the execution model, energy and hosts."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,10 +11,8 @@ from repro.compute import (
     ParallelProfile,
     PlatformSpec,
     TURTLEBOT3_PI,
-    WorkerPool,
 )
 from repro.compute.executor import DWA_PROFILE, SLAM_PROFILE
-from repro.compute.threadpool import chunk_bounds
 
 
 class TestPlatformSpec:
@@ -147,56 +144,3 @@ class TestHostEnergy:
         assert h.energy.total_energy_j == pytest.approx(
             h.energy.dynamic_energy_j + h.energy.idle_energy_j
         )
-
-
-class TestChunkBounds:
-    def test_even_split(self):
-        assert chunk_bounds(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-
-    def test_uneven_split_front_loaded(self):
-        assert chunk_bounds(5, 3) == [(0, 2), (2, 4), (4, 5)]
-
-    def test_more_chunks_than_items(self):
-        assert chunk_bounds(2, 8) == [(0, 1), (1, 2)]
-
-    def test_zero_items(self):
-        assert chunk_bounds(0, 4) == []
-
-    @given(st.integers(0, 1000), st.integers(1, 64))
-    def test_partition_covers_everything(self, n, k):
-        bounds = chunk_bounds(n, k)
-        covered = [i for a, b in bounds for i in range(a, b)]
-        assert covered == list(range(n))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            chunk_bounds(-1, 2)
-        with pytest.raises(ValueError):
-            chunk_bounds(5, 0)
-
-
-class TestWorkerPool:
-    def test_serial_pool_matches_direct(self):
-        with WorkerPool(1) as pool:
-            out = pool.map_items(lambda x: x * x, range(10))
-        assert out == [x * x for x in range(10)]
-
-    def test_parallel_pool_same_result(self):
-        with WorkerPool(4) as pool:
-            out = pool.map_items(lambda x: x * x, range(100))
-        assert out == [x * x for x in range(100)]
-
-    def test_map_chunks_order_preserved(self):
-        with WorkerPool(4) as pool:
-            out = pool.map_chunks(lambda i, a, b: (i, a, b), 10)
-        assert [c[0] for c in out] == sorted(c[0] for c in out)
-
-    def test_numpy_reduction_matches(self):
-        data = np.arange(1000, dtype=float)
-        with WorkerPool(3) as pool:
-            parts = pool.map_chunks(lambda i, a, b: data[a:b].sum(), len(data))
-        assert sum(parts) == pytest.approx(data.sum())
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            WorkerPool(0)

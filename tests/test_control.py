@@ -1,4 +1,4 @@
-"""Tests for trajectory rollout, DWA, the parallel scorer, mux, safety, Eq. 2c."""
+"""Tests for trajectory rollout, DWA, mux, safety, Eq. 2c."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.control import (
     DwaConfig,
     DwaPlanner,
-    ParallelScorer,
     SafetyController,
     TrajectoryRollout,
     VelocityMux,
@@ -17,8 +16,7 @@ from repro.control import (
     max_velocity_oa,
     mux_cycles,
 )
-from repro.control.dwa import TrajectoryScorer
-from repro.perception import LayeredCostmap
+from repro.perception import CostValues, LayeredCostmap
 from repro.world import Lidar, Pose2D, box_world, open_world
 
 
@@ -102,9 +100,9 @@ class TestTrajectoryRollout:
 
 
 class TestDwa:
-    def make(self, n_samples=300, scorer=None):
+    def make(self, n_samples=300):
         cm = LayeredCostmap(static_map=box_world(10.0))
-        dwa = DwaPlanner(cm, DwaConfig(n_samples=n_samples), scorer=scorer)
+        dwa = DwaPlanner(cm, DwaConfig(n_samples=n_samples))
         dwa.set_path(np.array([[2.0, 2.0], [2.0, 8.0], [8.0, 8.0]]))
         return dwa
 
@@ -135,27 +133,30 @@ class TestDwa:
         res = dwa.compute(Pose2D(2, 2, 0), 0, 0, v_limit=0.5)
         assert res.stuck
 
-    def test_parallel_scorer_identical_choice(self):
-        serial = self.make()
-        r1 = serial.compute(Pose2D(2.5, 3.0, 1.0), 0.3, 0.1, v_limit=0.6)
-        with ParallelScorer(4) as ps:
-            par = self.make(scorer=ps)
-            r2 = par.compute(Pose2D(2.5, 3.0, 1.0), 0.3, 0.1, v_limit=0.6)
-        assert (r1.v, r1.w) == (r2.v, r2.w)
-        assert r1.best_score == r2.best_score
+    def test_escape_rule_inside_inflation_ring(self):
+        # the corner cell costs INSCRIBED (< LETHAL), so every candidate
+        # starts there; only the LETHAL threshold keeps any of them
+        cm = LayeredCostmap(static_map=box_world(10.0))
+        assert CostValues.INSCRIBED <= cm.cost_at_world(0.05, 0.05) < CostValues.LETHAL
+        dwa = DwaPlanner(cm, DwaConfig(n_samples=300))
+        dwa.set_path(np.array([[0.05, 0.05], [5.0, 5.0]]))
+        res = dwa.compute(Pose2D(0.05, 0.05, math.pi / 4), 0.0, 0.0, v_limit=0.5)
+        assert res.v > 0.1
+        assert not res.stuck
+        assert res.n_valid == 300
 
-    def test_parallel_scorer_chunk_boundaries(self):
-        # odd sample counts exercise uneven chunking
-        serial = self.make(n_samples=173)
-        scores1 = None
-        traj = serial.rollout.rollout(
-            2.5, 3.0, 1.0, *serial.rollout.sample_window(0.3, 0.1, 0.6, 2.8, 173)
-        )
-        serial._target = serial._lookahead(Pose2D(2.5, 3.0, 1.0))
-        scores1 = TrajectoryScorer().score(traj, serial)
-        with ParallelScorer(7) as ps:
-            scores2 = ps.score(traj, serial)
-        assert np.array_equal(scores1, scores2)
+    @pytest.mark.parametrize(
+        "theta, w", [(-math.pi / 2, 2.84), (math.pi, -2.84)], ids=["south", "west"]
+    )
+    def test_parked_facing_away_rotates_toward_path(self, theta, w):
+        # standing still outranks turning here, which would never change
+        # the scores: the planner must rotate toward the path instead
+        dwa = self.make()
+        res = dwa.compute(Pose2D(2, 2, theta), 0.0, 0.0, v_limit=0.5)
+        assert res.v == 0.0
+        assert res.w == w
+        assert res.stuck
+        assert res.n_valid == 300
 
     def test_bad_path_shape_rejected(self):
         dwa = self.make()
@@ -165,8 +166,6 @@ class TestDwa:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DwaConfig(n_samples=2)
-        with pytest.raises(ValueError):
-            ParallelScorer(0)
 
     def test_cycles_model(self):
         assert dwa_cycles(2000) > dwa_cycles(200)

@@ -112,12 +112,12 @@ class TestFig11:
 
 class TestRealMeasurements:
     def test_real_slam_scales_with_particles(self):
-        t_small = measure_real_slam(n_particles=4, n_threads=1, n_scans=4)
-        t_big = measure_real_slam(n_particles=16, n_threads=1, n_scans=4)
+        t_small = measure_real_slam(n_particles=4, n_scans=4)
+        t_big = measure_real_slam(n_particles=16, n_scans=4)
         assert t_big > t_small
 
     def test_real_vdp_runs(self):
-        t = measure_real_vdp(n_samples=200, n_threads=2, n_ticks=3)
+        t = measure_real_vdp(n_samples=200, n_ticks=3)
         assert 0 < t < 5.0
 
 

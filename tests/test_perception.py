@@ -11,7 +11,6 @@ from repro.perception import (
     GMappingConfig,
     LayeredCostmap,
     LikelihoodField,
-    ParallelGMapping,
     costmap_update_cycles,
 )
 from repro.perception.amcl import amcl_update_cycles
@@ -215,9 +214,9 @@ class TestAmcl:
 
 
 class TestGMapping:
-    def make(self, cls=GMapping, n_particles=8, **kw):
+    def make(self, n_particles=8):
         cfg = GMappingConfig(n_particles=n_particles, rows=170, cols=170)
-        return cls(cfg, rng=seeded_rng(3), initial_pose=Pose2D(2, 2, 0), **kw)
+        return GMapping(cfg, rng=seeded_rng(3), initial_pose=Pose2D(2, 2, 0))
 
     def test_builds_map_and_tracks(self):
         world = box_world(8.0)
@@ -259,25 +258,6 @@ class TestGMapping:
         assert len(slam.neff_history) == 5
         assert all(1.0 <= n <= 8.0 + 1e-9 for n in slam.neff_history)
 
-    def test_parallel_identical_to_serial(self):
-        world = box_world(8.0)
-        scans, deltas, _ = drive_and_scan(world, Pose2D(2, 2, 0), n=8)
-
-        def run(cls, **kw):
-            slam = self.make(cls, **kw)
-            for scan, delta in zip(scans, deltas):
-                est = slam.process(scan, delta)
-            maps = slam.log_odds.copy()
-            if hasattr(slam, "close"):
-                slam.close()
-            return est, maps
-
-        e1, m1 = run(GMapping)
-        e2, m2 = run(ParallelGMapping, n_threads=4)
-        assert e1 == e2
-        for a, b in zip(m1, m2):
-            assert np.array_equal(a, b)
-
     def test_state_bytes_scales_with_particles(self):
         s8 = self.make(n_particles=8)
         s4 = self.make(n_particles=4)
@@ -293,8 +273,6 @@ class TestGMapping:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             GMappingConfig(n_particles=0)
-        with pytest.raises(ValueError):
-            ParallelGMapping(GMappingConfig(n_particles=2), n_threads=0)
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,12 @@
 
 These complement the per-module suites with the algebraic guarantees
 the system's correctness rests on: conservation (packets, energy),
-monotonicity (costs, velocities), determinism, and equivalence of the
-serial and parallel implementations on arbitrary inputs.
+monotonicity (costs, velocities) and determinism.
 """
 
 
-import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.compute.executor import ExecutionModel, SLAM_PROFILE
 from repro.compute.platform import CLOUD_SERVER, EDGE_GATEWAY, TURTLEBOT3_PI
@@ -198,29 +196,3 @@ class TestClassificationProperties:
         cls = classify_nodes(cycles)
         assert "velocity_mux" not in cls.offload_for_energy
         assert set(cls.offload_for_time) <= set(cls.offload_for_energy)
-
-
-class TestParallelEquivalence:
-    @given(st.integers(1, 9), st.integers(5, 60), st.integers(0, 5))
-    @settings(max_examples=10, deadline=None)
-    def test_dwa_parallel_any_thread_count(self, threads, samples, seed):
-        """Parallel scoring equals serial for arbitrary (threads, N)."""
-        from repro.control.dwa import DwaConfig, DwaPlanner, TrajectoryScorer
-        from repro.control.dwa_parallel import ParallelScorer
-        from repro.perception.costmap import LayeredCostmap
-        from repro.world.maps import box_world
-
-        assume(samples >= 4)
-        cm = LayeredCostmap(static_map=box_world(8.0))
-        dwa = DwaPlanner(cm, DwaConfig(n_samples=samples))
-        rng = seeded_rng(seed)
-        path = rng.uniform(1.5, 6.5, size=(4, 2))
-        dwa.set_path(path)
-        pose = Pose2D(*rng.uniform(2.0, 6.0, size=2), float(rng.uniform(-3, 3)))
-        dwa._target = dwa._lookahead(pose)
-        v, w = dwa.rollout.sample_window(0.2, 0.0, 0.8, 2.8, samples)
-        traj = dwa.rollout.rollout(pose.x, pose.y, pose.theta, v, w)
-        serial = TrajectoryScorer().score(traj, dwa)
-        with ParallelScorer(threads) as ps:
-            parallel = ps.score(traj, dwa)
-        assert np.array_equal(serial, parallel)
