@@ -25,45 +25,27 @@ quantity ``exec_time + 2 * wired_latency``.
 :class:`~repro.faults.ServerCrash` kills one pool worker mid-run and
 the pool's rebalance path must keep every tenant served (the
 ``pool_worker_crash`` cell of the chaos matrix).
+
+Every run here is built by :mod:`repro.hybrid.experiment`'s serving
+builder with no fluid background, so a fleet point is the hybrid run
+with ``focal == tenants``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
-from repro.cloud import (
-    AdmissionController,
-    BatchPolicy,
-    RobotTenant,
-    TenantSpec,
-    TenantStats,
-    WorkerPool,
-    make_balancer,
-    make_scheduler,
-)
+from repro.cloud import BatchPolicy, TenantStats
 from repro.compute.executor import DWA_PROFILE, ExecutionModel
-from repro.compute.host import Host
 from repro.compute.platform import CLOUD_SERVER, TURTLEBOT3_PI, PlatformSpec
-from repro.control.velocity_law import max_velocity_oa
-from repro.faults import FaultInjector, FaultPlan, ServerCrash
-from repro.network.fabric import FleetRadioNetwork
-from repro.network.signal import WapSite
-from repro.sim.kernel import Simulator
+from repro.faults import FaultPlan, ServerCrash
+from repro.hybrid.experiment import _jsonable, _outcome_json, _run_serving
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
-
-#: Ring radius (m) robots park at around their WAP: well inside the
-#: solid-signal zone, so radio loss stays a small deterministic tail.
-_PARK_RADIUS_M = 5.0
-
-
-def _jsonable(x: float) -> float | None:
-    """NaN -> None so the artifact stays strict JSON."""
-    return None if isinstance(x, float) and math.isnan(x) else x
 
 
 def _analytic_vdp_s(
@@ -226,14 +208,9 @@ class FleetResult:
                 "local_vdp_s": self.local_vdp_s,
                 "server": CLOUD_SERVER.name,
             },
-            "identity": {
-                "measured_mean_s": _jsonable(self.identity.measured_mean_s),
-                "expected_exec_s": self.identity.expected_exec_s,
-                "network_rtt_s": self.identity.network_rtt_s,
-                "expected_vdp_s": self.identity.expected_vdp_s,
-                "max_abs_err_s": self.identity.max_abs_err_s,
-                "exact": self.identity.exact,
-            },
+            "identity": _jsonable(
+                {**asdict(self.identity), "exact": self.identity.exact}
+            ),
             "capacity_admit_all": self.capacity_admit_all,
             "admission_always_protects": self.admission_always_protects,
             "points": [
@@ -241,38 +218,7 @@ class FleetResult:
                     "n_robots": p.n_robots,
                     "analytic_vdp_s": p.analytic_vdp_s,
                     "policies": {
-                        o.policy: {
-                            "admitted": o.admitted,
-                            "downgraded": o.downgraded,
-                            "rejected": o.rejected,
-                            "ticks": o.ticks,
-                            "served": o.served,
-                            "lost": o.lost,
-                            "worst_admitted_p95_s": _jsonable(
-                                o.worst_admitted_p95_s
-                            ),
-                            "admitted_miss_rate": _jsonable(o.admitted_miss_rate),
-                            "mean_velocity_mps": _jsonable(o.mean_velocity_mps),
-                            "min_velocity_mps": _jsonable(o.min_velocity_mps),
-                            "deadline_ok": o.deadline_ok,
-                            "tenants": [
-                                {
-                                    "tenant": t.tenant,
-                                    "threads": t.threads,
-                                    "ticks": t.ticks,
-                                    "served": t.served,
-                                    "lost": t.lost,
-                                    "mean_latency_s": _jsonable(t.mean_latency_s),
-                                    "p95_latency_s": _jsonable(t.p95_latency_s),
-                                    "deadline_miss_rate": _jsonable(
-                                        t.deadline_miss_rate
-                                    ),
-                                    "velocity_mps": _jsonable(t.velocity_mps),
-                                }
-                                for t in o.tenants
-                            ],
-                        }
-                        for o in (p.admission, p.admit_all)
+                        o.policy: _outcome_json(o) for o in (p.admission, p.admit_all)
                     },
                 }
                 for p in self.points
@@ -292,27 +238,6 @@ class FleetResult:
 # ----------------------------------------------------------------------
 # One serving run
 # ----------------------------------------------------------------------
-def _build_radio(
-    n_robots: int, wired_latency_s: float, seed: int
-) -> tuple[FleetRadioNetwork, dict[str, tuple[float, float]]]:
-    """Two-WAP access layer with robots parked on rings around them."""
-    waps = (WapSite(0.0, 0.0), WapSite(40.0, 0.0))
-    radio = FleetRadioNetwork(waps, wired_latency_s=wired_latency_s, seed=seed)
-    positions: dict[str, tuple[float, float]] = {}
-    for i in range(n_robots):
-        wap = waps[i % len(waps)]
-        angle = 2.399963229728653 * i  # golden-angle spacing, no overlap
-        positions[_tenant_name(i)] = (
-            wap.x + _PARK_RADIUS_M * math.cos(angle),
-            wap.y + _PARK_RADIUS_M * math.sin(angle),
-        )
-    return radio, positions
-
-
-def _tenant_name(i: int) -> str:
-    return f"robot{i:02d}"
-
-
 def serve_fleet_point(
     n_robots: int,
     workers: int,
@@ -330,106 +255,36 @@ def serve_fleet_point(
     telemetry: "Telemetry | None",
     batching: BatchPolicy | None = None,
 ) -> PolicyOutcome:
-    """One fleet size under one policy; a fresh simulator each time.
+    """One fleet size under one policy, every robot in full DES.
 
-    Public so :mod:`repro.hybrid`'s fidelity benchmark can measure the
-    full-DES reference point it compares the hybrid mode against.
+    The hybrid serving run with no fluid background
+    (``focal == tenants``) and a fresh simulator each time. Public as
+    the full-DES reference point :mod:`repro.hybrid`'s fidelity
+    benchmark compares the hybrid mode against.
     """
-    sim = Simulator()
-    hosts = [Host(f"cloud-vm{i}", CLOUD_SERVER) for i in range(workers)]
-    pool = WorkerPool(
-        sim,
-        hosts,
-        make_scheduler(scheduler),
-        make_balancer(balancer),
-        telemetry=telemetry,
-        batching=batching,
+    run = _run_serving(
+        n_robots, n_robots, workers, scheduler, balancer, admission,
+        sim_time_s, tick_rate_hz, cycles, threads, local_vdp_s,
+        wired_latency_s, seed, use_radio, telemetry, batching=batching,
     )
-    controller = AdmissionController(
-        pool, network_latency_s=wired_latency_s, telemetry=telemetry
-    )
-    radio: FleetRadioNetwork | None = None
-    if use_radio:
-        radio, positions = _build_radio(n_robots, wired_latency_s, seed)
-
-    period = 1.0 / tick_rate_hz
-    tenants: list[RobotTenant] = []
-    stats: list[TenantStats] = []
-    rejected = downgraded = 0
-    v_local = max_velocity_oa(local_vdp_s, hardware_cap=1.0)
-    for i in range(n_robots):
-        spec = TenantSpec(
-            _tenant_name(i), cycles, threads, tick_rate_hz, local_vdp_s
-        )
-        if admission:
-            decision = controller.request_admission(spec)
-            if not decision.admitted:
-                rejected += 1
-                # The robot stays on its own silicon: local tick time,
-                # local Eq. 2c velocity, no cloud traffic at all.
-                stats.append(
-                    TenantStats(
-                        tenant=spec.name,
-                        threads=0,
-                        ticks=0,
-                        served=0,
-                        lost=0,
-                        mean_latency_s=local_vdp_s,
-                        p95_latency_s=local_vdp_s,
-                        deadline_miss_rate=0.0,
-                        velocity_mps=v_local,
-                    )
-                )
-                continue
-            if decision.downgraded:
-                downgraded += 1
-            granted = controller.admitted[spec.name]
-        else:
-            granted = spec
-        if radio is not None:
-            radio.attach(spec.name, positions[spec.name])
-        tenants.append(
-            RobotTenant(
-                sim,
-                granted,
-                pool,
-                radio=radio,
-                phase_s=(i / n_robots) * period,
-                telemetry=telemetry,
-            )
-        )
-    for t in tenants:
-        t.start()
-    sim.run(until=sim_time_s)
-
-    admitted_stats = [t.stats() for t in tenants]
-    stats.extend(admitted_stats)
-    served_p95s = [
-        s.p95_latency_s for s in admitted_stats if s.served > 0
-    ]
-    deadline = period
-    deadline_ok = bool(admitted_stats) and all(
-        s.served > 0 and s.p95_latency_s <= deadline for s in admitted_stats
-    )
-    served_total = sum(s.served for s in admitted_stats)
-    missed = sum(
-        round(s.deadline_miss_rate * s.served) for s in admitted_stats
-    )
-    velocities = [s.velocity_mps for s in stats]
+    admitted = run.admitted_stats
+    served = sum(s.served for s in admitted)
+    missed = sum(round(s.deadline_miss_rate * s.served) for s in admitted)
+    velocities = [s.velocity_mps for s in run.stats]
     return PolicyOutcome(
         policy="admission" if admission else "admit-all",
-        admitted=len(tenants),
-        downgraded=downgraded,
-        rejected=rejected,
-        ticks=sum(s.ticks for s in admitted_stats),
-        served=served_total,
-        lost=sum(s.lost for s in admitted_stats),
-        worst_admitted_p95_s=max(served_p95s) if served_p95s else math.nan,
-        admitted_miss_rate=missed / served_total if served_total else math.nan,
+        admitted=len(run.tenants),
+        downgraded=run.downgraded,
+        rejected=run.rejected,
+        ticks=sum(s.ticks for s in admitted),
+        served=served,
+        lost=sum(s.lost for s in admitted),
+        worst_admitted_p95_s=run.worst_p95_s,
+        admitted_miss_rate=missed / served if served else math.nan,
         mean_velocity_mps=sum(velocities) / len(velocities),
         min_velocity_mps=min(velocities),
-        deadline_ok=deadline_ok,
-        tenants=tuple(sorted(stats, key=lambda s: s.tenant)),
+        deadline_ok=run.deadline_ok,
+        tenants=tuple(sorted(run.stats, key=lambda s: s.tenant)),
     )
 
 
@@ -437,17 +292,12 @@ def _identity_check(
     cycles: float, threads: int, tick_rate_hz: float, wired_latency_s: float
 ) -> IdentityCheck:
     """K=1, one FIFO worker, no radio: serving adds nothing to exec."""
-    sim = Simulator()
-    host = Host("cloud-vm0", CLOUD_SERVER)
-    pool = WorkerPool(
-        sim, [host], make_scheduler("fifo"), make_balancer("round-robin")
+    run = _run_serving(
+        1, 1, 1, "fifo", "round-robin", False, 4.0 / tick_rate_hz + 1e-9,
+        tick_rate_hz, cycles, threads, 1.0, wired_latency_s, 0, False, None,
     )
-    spec = TenantSpec("robot00", cycles, threads, tick_rate_hz, 1.0)
-    tenant = RobotTenant(sim, spec, pool)
-    tenant.start()
-    sim.run(until=4.0 / tick_rate_hz + 1e-9)
-    expected = host.exec_time(cycles, threads, DWA_PROFILE)
-    lats = tenant.latencies
+    expected = run.pool.workers[0].host.exec_time(cycles, threads, DWA_PROFILE)
+    lats = run.tenants[0].latencies
     mean = sum(lats) / len(lats) if lats else math.nan
     err = max((abs(v - expected) for v in lats), default=math.nan)
     rtt = 2.0 * wired_latency_s
@@ -608,43 +458,17 @@ def run_fleet_chaos(
     """
     if workers < 2:
         raise ValueError("a crash demo needs at least 2 workers")
-    sim = Simulator()
-    hosts = [Host(f"cloud-vm{i}", CLOUD_SERVER) for i in range(workers)]
-    pool = WorkerPool(
-        sim,
-        hosts,
-        make_scheduler(scheduler),
-        make_balancer("least-loaded"),
-        telemetry=telemetry,
-        batching=batching,
+    crash = ServerCrash(
+        start=crash_at_s, restart_after=restart_after_s, host="cloud-vm0"
     )
-    period = 1.0 / tick_rate_hz
-    tenants = [
-        RobotTenant(
-            sim,
-            TenantSpec(_tenant_name(i), vdp_cycles, threads, tick_rate_hz, 1.0),
-            pool,
-            phase_s=(i / robots) * period,
-            telemetry=telemetry,
-        )
-        for i in range(robots)
-    ]
-    plan = FaultPlan(
-        (
-            ServerCrash(
-                start=crash_at_s, restart_after=restart_after_s, host="cloud-vm0"
-            ),
-        )
+    # No radio and no admission: the tenants reach the pool directly.
+    run = _run_serving(
+        robots, robots, workers, scheduler, "least-loaded", False,
+        sim_time_s, tick_rate_hz, vdp_cycles, threads, 1.0, 0.0, seed,
+        False, telemetry, batching=batching, faults=FaultPlan((crash,)),
     )
-    FaultInjector.for_pool(plan, pool, telemetry=telemetry).arm()
-    for t in tenants:
-        t.start()
-    sim.run(until=sim_time_s)
-
-    stats = tuple(t.stats() for t in tenants)
-    stranded = tuple(s.tenant for s in stats if s.stranded)
     recovered = all(
-        any(ct > crash_at_s for ct in t.completion_times) for t in tenants
+        any(ct > crash_at_s for ct in t.completion_times) for t in run.tenants
     )
     return FleetChaosResult(
         robots=robots,
@@ -653,9 +477,9 @@ def run_fleet_chaos(
         crash_at_s=crash_at_s,
         restart_after_s=restart_after_s,
         sim_time_s=sim_time_s,
-        rebalanced=pool.rebalanced,
-        duplicate_completions=pool.duplicate_completions,
-        stranded=stranded,
+        rebalanced=run.pool.rebalanced,
+        duplicate_completions=run.pool.duplicate_completions,
+        stranded=tuple(s.tenant for s in run.stats if s.stranded),
         all_recovered=recovered,
-        tenants=stats,
+        tenants=run.stats,
     )

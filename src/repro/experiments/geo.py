@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from repro.cloud.admission import TenantSpec
 from repro.compute.platform import CLOUD_SERVER, TURTLEBOT3_PI
-from repro.experiments.fleet_scale import _jsonable
 from repro.faults import FaultInjector, FaultPlan, SiteOutage
+from repro.hybrid import FluidBackground
+from repro.hybrid.experiment import _jsonable
 from repro.recovery.config import RecoveryConfig
 from repro.sim.kernel import Simulator
 from repro.sites import (
@@ -209,24 +210,11 @@ class GeoResult:
                     "max_service_gap_s": c.max_service_gap_s,
                     "no_stranded": c.no_stranded,
                     "survival": [
-                        {"t": t, "fraction": _jsonable(f) if f is not None else None}
+                        {"t": t, "fraction": _jsonable(f)}
                         for t, f in c.survival
                     ],
                     "tenants": [
-                        {
-                            "tenant": t.tenant,
-                            "ticks": t.ticks,
-                            "served": t.served,
-                            "local_served": t.local_served,
-                            "lost": t.lost,
-                            "handoffs": t.handoffs,
-                            "evacuations": t.evacuations,
-                            "mean_latency_s": _jsonable(t.mean_latency_s),
-                            "p95_latency_s": _jsonable(t.p95_latency_s),
-                            "deadline_miss_rate": _jsonable(t.deadline_miss_rate),
-                            "degraded_s": t.degraded_s,
-                            "stranded": t.stranded,
-                        }
+                        _jsonable({**asdict(t), "stranded": t.stranded})
                         for t in c.tenants
                     ],
                 }
@@ -338,8 +326,6 @@ def _run_cell(
 
     fluid = None
     if background > 0:
-        from repro.hybrid import FluidBackground
-
         bg_spec = TenantSpec(
             name="bg",
             cycles=_VDP_CYCLES,

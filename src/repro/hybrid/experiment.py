@@ -22,16 +22,20 @@ A point's ``deadline_ok`` combines both halves: the focal verdict is
 *measured* (every admitted focal tenant's p95 within its deadline),
 the background verdict is the fluid projection
 (:meth:`~repro.hybrid.FluidBackground.p95_s` within the deadline).
-With ``N == K`` the background is empty and a point reduces exactly —
-byte-identically — to the plain fleet experiment's serving run.
+
+Every single-pool serving run is built by :func:`_run_serving` here.
+The plain fleet experiment is the case ``N == K``, where the
+background is empty and inert; its identity check and its
+worker-crash chaos cell are the same build with one tenant, or with a
+fault plan armed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro.cloud import (
     AdmissionController,
@@ -46,18 +50,39 @@ from repro.cloud import (
 from repro.compute.host import Host
 from repro.compute.platform import CLOUD_SERVER, TURTLEBOT3_PI
 from repro.control.velocity_law import max_velocity_oa
-from repro.experiments.fleet_scale import (
-    _build_radio,
-    _jsonable,
-    _tenant_name,
-)
 from repro.extensions.fleet import FleetServerModel
+from repro.faults import FaultInjector, FaultPlan
+from repro.hybrid.admission import BackgroundAdmission
 from repro.hybrid.background import FluidBackground
 from repro.network.fabric import FleetRadioNetwork
+from repro.network.signal import WapSite
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
+
+#: Ring radius (m) robots park at around their WAP: well inside the
+#: solid-signal zone, so radio loss stays a small deterministic tail.
+_PARK_RADIUS_M = 5.0
+
+
+def _jsonable(x: Any) -> Any:
+    """NaN -> None at any depth, so an artifact stays strict JSON."""
+    if isinstance(x, float) and math.isnan(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    return x
+
+
+def _outcome_json(outcome: Any, **extra: Any) -> Any:
+    """A policy outcome for an artifact: every dataclass field but
+    ``policy`` (the artifact keys outcomes by it), plus ``extra``."""
+    fields = asdict(outcome)
+    del fields["policy"]
+    return _jsonable({**fields, **extra})
 
 
 @dataclass(frozen=True)
@@ -161,7 +186,6 @@ class HybridResult:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        pol = self.batching
         return {
             "meta": {
                 "tenants": self.tenants,
@@ -177,58 +201,13 @@ class HybridResult:
                 "calibrated_t_iso_s": self.calibrated_t_iso_s,
                 "server": CLOUD_SERVER.name,
                 "batching": (
-                    {
-                        "max_size": pol.max_size,
-                        "max_wait_s": pol.max_wait_s,
-                        "amortization": pol.amortization,
-                        "deadline_guard_s": pol.deadline_guard_s,
-                    }
-                    if pol is not None
-                    else None
+                    asdict(self.batching) if self.batching is not None else None
                 ),
             },
             "policies": {
-                o.policy: {
-                    "n_tenants": o.n_tenants,
-                    "focal": o.focal,
-                    "focal_admitted": o.focal_admitted,
-                    "focal_downgraded": o.focal_downgraded,
-                    "focal_rejected": o.focal_rejected,
-                    "ticks": o.ticks,
-                    "served": o.served,
-                    "lost": o.lost,
-                    "worst_focal_p95_s": _jsonable(o.worst_focal_p95_s),
-                    "focal_deadline_ok": o.focal_deadline_ok,
-                    "bg_admitted": o.bg_admitted,
-                    "bg_downgraded": o.bg_downgraded,
-                    "bg_rejected": o.bg_rejected,
-                    "bg_demand_cores": o.bg_demand_cores,
-                    "cal_ratio": o.cal_ratio,
-                    "bg_p95_s": _jsonable(o.bg_p95_s),
-                    "bg_deadline_ok": o.bg_deadline_ok,
-                    "utilization": o.utilization,
-                    "batches": o.batches,
-                    "batched_requests": o.batched_requests,
-                    "batch_occupancy": _jsonable(o.batch_occupancy),
-                    "duplicate_completions": o.duplicate_completions,
-                    "deadline_ok": o.deadline_ok,
-                    "tenants": [
-                        {
-                            "tenant": t.tenant,
-                            "threads": t.threads,
-                            "ticks": t.ticks,
-                            "served": t.served,
-                            "lost": t.lost,
-                            "mean_latency_s": _jsonable(t.mean_latency_s),
-                            "p95_latency_s": _jsonable(t.p95_latency_s),
-                            "deadline_miss_rate": _jsonable(
-                                t.deadline_miss_rate
-                            ),
-                            "velocity_mps": _jsonable(t.velocity_mps),
-                        }
-                        for t in o.tenants
-                    ],
-                }
+                o.policy: _outcome_json(
+                    o, batch_occupancy=o.batch_occupancy, deadline_ok=o.deadline_ok
+                )
                 for o in (self.admission, self.admit_all)
             },
         }
@@ -244,9 +223,67 @@ class HybridResult:
 
 
 # ----------------------------------------------------------------------
-# One hybrid serving run
+# The serving builder
 # ----------------------------------------------------------------------
-def serve_hybrid_point(
+def _tenant_name(i: int) -> str:
+    return f"robot{i:02d}"
+
+
+def _build_radio(
+    n_robots: int, wired_latency_s: float, seed: int
+) -> tuple[FleetRadioNetwork, dict[str, tuple[float, float]]]:
+    """Two-WAP access layer with robots parked on rings around them."""
+    waps = (WapSite(0.0, 0.0), WapSite(40.0, 0.0))
+    radio = FleetRadioNetwork(waps, wired_latency_s=wired_latency_s, seed=seed)
+    positions: dict[str, tuple[float, float]] = {}
+    for i in range(n_robots):
+        wap = waps[i % len(waps)]
+        angle = 2.399963229728653 * i  # golden-angle spacing, no overlap
+        positions[_tenant_name(i)] = (
+            wap.x + _PARK_RADIUS_M * math.cos(angle),
+            wap.y + _PARK_RADIUS_M * math.sin(angle),
+        )
+    return radio, positions
+
+
+@dataclass(frozen=True)
+class _ServingRun:
+    """A finished serving run, for its caller to summarize."""
+
+    sim: Simulator
+    pool: WorkerPool
+    background: FluidBackground
+    bg_admission: BackgroundAdmission
+    deadline_s: float
+    #: The admitted focal tenants, in index order.
+    tenants: tuple[RobotTenant, ...]
+    #: Every focal robot's stats: the rejected ones (held at their local
+    #: tick time and velocity) first, then the admitted ones, each in
+    #: index order. Float sums over it must keep this order.
+    stats: tuple[TenantStats, ...]
+    rejected: int
+    downgraded: int
+
+    @property
+    def admitted_stats(self) -> tuple[TenantStats, ...]:
+        return self.stats[self.rejected :]
+
+    @property
+    def worst_p95_s(self) -> float:
+        """Worst p95 among the admitted tenants served at all (NaN if none)."""
+        p95s = [s.p95_latency_s for s in self.admitted_stats if s.served > 0]
+        return max(p95s) if p95s else math.nan
+
+    @property
+    def deadline_ok(self) -> bool:
+        """Someone was admitted and every admitted tenant held its deadline."""
+        admitted = self.admitted_stats
+        return bool(admitted) and all(
+            s.served > 0 and s.p95_latency_s <= self.deadline_s for s in admitted
+        )
+
+
+def _run_serving(
     n_tenants: int,
     focal: int,
     workers: int,
@@ -266,18 +303,26 @@ def serve_hybrid_point(
     model: FleetServerModel | None = None,
     recalibrate_every_s: float = 1.0,
     jitter: float = 0.0,
-) -> HybridOutcome:
-    """One hybrid fleet size under one policy; a fresh simulator.
+    faults: FaultPlan | None = None,
+) -> _ServingRun:
+    """Serve ``focal`` DES tenants and ``n_tenants - focal`` fluid ones.
 
-    Structured to shadow
-    :func:`repro.experiments.fleet_scale.serve_fleet_point` statement
-    for statement on the focal path, so ``n_tenants == focal`` (and no
-    batching) replays the plain fleet serving run event for event —
-    the byte-identity contract ``tests/test_hybrid.py`` pins.
+    A fresh simulator, a pool of ``workers`` hosts ``cloud-vm{i}`` and
+    an Eq. 2c gate. With ``admission`` the focal robots pass the gate
+    one by one in index order and the background is then ruled on in
+    aggregate; without it everyone is in at the requested width.
+    ``n_tenants == focal`` is the plain fleet: the background is empty
+    and inert. ``faults`` is armed on the pool after the tenants are
+    built and before they start.
     """
     if not 0 < focal <= n_tenants:
         raise ValueError(
             f"need 0 < focal <= tenants, got focal={focal} tenants={n_tenants}"
+        )
+    if n_tenants > focal and scheduler != "ps":
+        raise ValueError(
+            "a fluid background is validated only with the ps scheduler, "
+            f"not {scheduler!r} (docs/hybrid.md)"
         )
     sim = Simulator()
     hosts = [Host(f"cloud-vm{i}", CLOUD_SERVER) for i in range(workers)]
@@ -309,6 +354,8 @@ def serve_hybrid_point(
             decision = controller.request_admission(spec)
             if not decision.admitted:
                 rejected += 1
+                # The robot stays on its own silicon: local tick time,
+                # local Eq. 2c velocity, no cloud traffic at all.
                 stats.append(
                     TenantStats(
                         tenant=spec.name,
@@ -343,13 +390,10 @@ def serve_hybrid_point(
                 telemetry=telemetry,
             )
         )
-    bg_spec = TenantSpec(
-        "background", cycles, threads, tick_rate_hz, local_vdp_s
-    )
     background = FluidBackground(
         sim,
         pool,
-        bg_spec,
+        TenantSpec("background", cycles, threads, tick_rate_hz, local_vdp_s),
         n_tenants - focal,
         controller=controller if admission else None,
         model=model,
@@ -359,42 +403,89 @@ def serve_hybrid_point(
         telemetry=telemetry,
     )
     bg_admission = background.attach()
+    if faults is not None:
+        FaultInjector.for_pool(faults, pool, telemetry=telemetry).arm()
     for t in tenants:
         t.start()
     sim.run(until=sim_time_s)
-
-    focal_stats = [t.stats() for t in tenants]
-    stats.extend(focal_stats)
-    served_p95s = [s.p95_latency_s for s in focal_stats if s.served > 0]
-    deadline = period
-    focal_ok = bool(focal_stats) and all(
-        s.served > 0 and s.p95_latency_s <= deadline for s in focal_stats
+    stats.extend(t.stats() for t in tenants)
+    return _ServingRun(
+        sim=sim,
+        pool=pool,
+        background=background,
+        bg_admission=bg_admission,
+        deadline_s=period,
+        tenants=tuple(tenants),
+        stats=tuple(stats),
+        rejected=rejected,
+        downgraded=downgraded,
     )
-    batches, batched_requests = pool.batch_stats()
+
+
+# ----------------------------------------------------------------------
+# One hybrid serving run
+# ----------------------------------------------------------------------
+def serve_hybrid_point(
+    n_tenants: int,
+    focal: int,
+    workers: int,
+    scheduler: str,
+    balancer: str,
+    admission: bool,
+    sim_time_s: float,
+    tick_rate_hz: float,
+    cycles: float,
+    threads: int,
+    local_vdp_s: float,
+    wired_latency_s: float,
+    seed: int,
+    use_radio: bool,
+    telemetry: "Telemetry | None",
+    batching: BatchPolicy | None = None,
+    model: FleetServerModel | None = None,
+    recalibrate_every_s: float = 1.0,
+    jitter: float = 0.0,
+) -> HybridOutcome:
+    """One hybrid fleet size under one policy; a fresh simulator.
+
+    ``focal`` robots run in full DES and ``n_tenants - focal`` as fluid
+    demand. A non-empty background needs the ``ps`` scheduler, the only
+    one its fidelity is validated for; ``n_tenants == focal`` is the
+    plain fleet run under any scheduler.
+    """
+    run = _run_serving(
+        n_tenants, focal, workers, scheduler, balancer, admission,
+        sim_time_s, tick_rate_hz, cycles, threads, local_vdp_s,
+        wired_latency_s, seed, use_radio, telemetry, batching=batching,
+        model=model, recalibrate_every_s=recalibrate_every_s, jitter=jitter,
+    )
+    focal_stats = run.admitted_stats
+    bg = run.bg_admission
+    batches, batched_requests = run.pool.batch_stats()
     return HybridOutcome(
         policy="admission" if admission else "admit-all",
         n_tenants=n_tenants,
         focal=focal,
-        focal_admitted=len(tenants),
-        focal_downgraded=downgraded,
-        focal_rejected=rejected,
+        focal_admitted=len(run.tenants),
+        focal_downgraded=run.downgraded,
+        focal_rejected=run.rejected,
         ticks=sum(s.ticks for s in focal_stats),
         served=sum(s.served for s in focal_stats),
         lost=sum(s.lost for s in focal_stats),
-        worst_focal_p95_s=max(served_p95s) if served_p95s else math.nan,
-        focal_deadline_ok=focal_ok,
-        bg_admitted=bg_admission.admitted,
-        bg_downgraded=bg_admission.downgraded,
-        bg_rejected=bg_admission.rejected,
-        bg_demand_cores=bg_admission.demand_cores,
-        cal_ratio=background.cal_ratio,
-        bg_p95_s=background.p95_s(wired_latency_s),
-        bg_deadline_ok=background.deadline_ok(),
-        utilization=pool.utilization(sim.now()),
+        worst_focal_p95_s=run.worst_p95_s,
+        focal_deadline_ok=run.deadline_ok,
+        bg_admitted=bg.admitted,
+        bg_downgraded=bg.downgraded,
+        bg_rejected=bg.rejected,
+        bg_demand_cores=bg.demand_cores,
+        cal_ratio=run.background.cal_ratio,
+        bg_p95_s=run.background.p95_s(wired_latency_s),
+        bg_deadline_ok=run.background.deadline_ok(),
+        utilization=run.pool.utilization(run.sim.now()),
         batches=batches,
         batched_requests=batched_requests,
-        duplicate_completions=pool.duplicate_completions,
-        tenants=tuple(sorted(stats, key=lambda s: s.tenant)),
+        duplicate_completions=run.pool.duplicate_completions,
+        tenants=tuple(sorted(run.stats, key=lambda s: s.tenant)),
     )
 
 

@@ -2,8 +2,6 @@
 autoscaler — plus the DES <-> analytical cross-validation against
 repro.extensions.fleet and the fig13-path identity check."""
 
-import math
-
 import pytest
 
 from repro.cloud import (
@@ -628,6 +626,15 @@ class TestFleetExperiment:
         assert a.to_json() == b.to_json()
         assert a.admission_always_protects
         assert a.identity.exact
+
+    def test_empty_fleet_is_refused(self):
+        from repro.experiments.fleet_scale import serve_fleet_point
+
+        with pytest.raises(ValueError, match="focal"):
+            serve_fleet_point(
+                0, 1, "edf", "least-loaded", True, 2.0, 5.0, 1.4e9, 8,
+                1.0, 0.02, 0, False, None,
+            )
 
     def test_fleet_chaos_recovers(self):
         from repro.experiments.fleet_scale import run_fleet_chaos

@@ -6,15 +6,19 @@ The two load-bearing properties are hypothesis-driven:
   path under every scheduler (the opt-in contract of
   :mod:`repro.cloud.batching`);
 * a hybrid run with zero background tenants (``N - K == 0``)
-  reproduces the plain fleet serving run **exactly** (the inertness
-  contract of :class:`repro.hybrid.FluidBackground`).
+  reports the plain fleet serving run **exactly**: both entry points
+  summarize one shared builder's run, and the summaries must agree.
 
 Both compare float-for-float, not approximately: any drift means an
-extra or reordered DES event leaked in.
+extra or reordered DES event leaked in. The inertness contract of
+:class:`repro.hybrid.FluidBackground` that makes the shared builder
+exact is pinned directly by ``test_empty_background_is_inert``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import pytest
@@ -41,6 +45,7 @@ from repro.hybrid import (
     run_fleet_hybrid,
     serve_hybrid_point,
 )
+from repro.hybrid.experiment import _outcome_json
 from repro.sim.kernel import Simulator
 from repro.telemetry import Telemetry
 
@@ -127,6 +132,8 @@ def test_batch_size_one_is_byte_identical(
     use_radio=st.booleans(),
 )
 def test_zero_background_matches_fleet_exactly(n, scheduler, admission, use_radio):
+    # One builder serves both entry points: their summaries of the same
+    # run must agree field for field.
     args = (
         n, 1, scheduler, "least-loaded", admission,
         8.0, 5.0, 1.4e9, 8, LOCAL_VDP_S, 0.02, 0, use_radio, None,
@@ -144,6 +151,59 @@ def test_zero_background_matches_fleet_exactly(n, scheduler, admission, use_radi
     assert hybrid.bg_admitted == 0
     assert hybrid.bg_demand_cores == 0.0
     assert hybrid.bg_deadline_ok
+
+
+def test_empty_background_is_inert():
+    """Zero background tenants schedule nothing, impose no demand and
+    leave the gate's ledger alone, with or without a controller."""
+    sim = Simulator()
+    pool = WorkerPool(
+        sim,
+        [Host("cloud-vm0", CLOUD_SERVER)],
+        make_scheduler("ps"),
+        make_balancer("least-loaded"),
+    )
+    ctl = AdmissionController(pool, network_latency_s=0.02)
+    assert ctl.request_admission(
+        TenantSpec("robot00", local_vdp_s=LOCAL_VDP_S, **SPEC_ARGS)
+    ).admitted
+    admitted, decisions = dict(ctl.admitted), list(ctl.decisions)
+    spec = TenantSpec("background", local_vdp_s=LOCAL_VDP_S, **SPEC_ARGS)
+    for controller in (ctl, None):
+        FluidBackground(sim, pool, spec, 0, controller=controller).attach()
+        assert sim.queue_depth == 0
+        assert pool.background_demand_cores == 0.0
+        assert ctl.background_demand_cores == 0.0
+        assert ctl.admitted == admitted
+        assert ctl.decisions == decisions
+
+
+@pytest.mark.parametrize("scheduler", ["fifo", "edf"])
+def test_fluid_background_refuses_unvalidated_scheduler(scheduler):
+    args = (
+        64, 4, 1, scheduler, "least-loaded", True,
+        2.0, 5.0, 1.4e9, 8, LOCAL_VDP_S, 0.02, 0, False, None,
+    )
+    with pytest.raises(ValueError, match="only with the ps scheduler"):
+        serve_hybrid_point(*args)
+    with pytest.raises(ValueError, match="only with the ps scheduler"):
+        run_fleet_hybrid(tenants=64, focal=4, scheduler=scheduler)
+
+
+def test_outcome_json_is_strict_json():
+    out = serve_fleet_point(
+        2, 1, "edf", "least-loaded", True,
+        2.0, 5.0, 1.4e9, 8, LOCAL_VDP_S, 0.02, 0, False, None,
+    )
+    tenant = dataclasses.replace(out.tenants[0], p95_latency_s=math.nan)
+    doc = _outcome_json(
+        dataclasses.replace(out, worst_admitted_p95_s=math.nan, tenants=(tenant,))
+    )
+    json.dumps(doc, allow_nan=False)
+    assert "policy" not in doc
+    assert doc["worst_admitted_p95_s"] is None
+    assert doc["tenants"][0]["p95_latency_s"] is None
+    assert doc["tenants"][0]["tenant"] == tenant.tenant
 
 
 # ---------------------------------------------------------------------------
