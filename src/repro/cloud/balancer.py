@@ -52,8 +52,9 @@ class RoundRobinBalancer(LoadBalancer):
 class LeastLoadedBalancer(LoadBalancer):
     """Lowest (in-flight + queued) thread demand relative to capacity.
 
-    Ties break on worker order, so equal-load pools fill
-    deterministically from the first worker.
+    Ties break on the host-name string, so equal-load pools fill
+    deterministically in name order — ``cloud-vm10`` before
+    ``cloud-vm2``, whatever the worker order.
     """
 
     name = "least-loaded"

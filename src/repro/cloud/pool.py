@@ -29,7 +29,9 @@ Two opt-in extensions ride on the same worker machinery, both inert
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable, Iterable
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.cloud.balancer import LoadBalancer
@@ -90,17 +92,6 @@ class _Job:
     def size(self) -> int:
         return len(self.members)
 
-    @property
-    def policy_req(self) -> TickRequest:
-        """The request the scheduler judges this job by.
-
-        The earliest-absolute-deadline member, so EDF treats a batch
-        as urgent as its most urgent rider; for a single-request job
-        this is simply the request (ties keep arrival order — ``min``
-        is stable).
-        """
-        return min(self.members, key=lambda m: m.req.absolute_deadline).req
-
 
 class _Stage:
     """A per-shape staging buffer collecting one batch."""
@@ -131,10 +122,17 @@ class PoolWorker:
         self.telemetry = telemetry
         self.batching = batching
         self.capacity = host.platform.hardware_threads
-        #: Autoscaler drain flag: a retiring worker takes no new work.
-        self.accepting = True
-        self._queue: list[_Job] = []
-        self._active: list[_Job] = []
+        #: Queueing-mode heap of ``(policy key, arrival seq, job)``: the
+        #: seq breaks key ties in arrival order, so jobs never compare.
+        self._queue: list[tuple[float, int, _Job]] = []
+        self._arrivals = 0
+        #: Running jobs in start order (a dict for O(1) removal).
+        self._active: dict[_Job, None] = {}
+        #: Running totals of the jobs above and of staged riders, so the
+        #: load signals cost O(1) however deep the backlog.
+        self._active_width = self._active_size = 0
+        self._queued_width = self._queued_size = 0
+        self._staged = 0
         #: Batching staging buffers, one per compatible request shape.
         self._stages: dict[BatchKey, _Stage] = {}
         # processor-sharing bookkeeping
@@ -168,13 +166,11 @@ class PoolWorker:
 
     def queue_depth(self) -> int:
         """Requests waiting, staged batches included (0 under PS)."""
-        return sum(j.size for j in self._queue) + sum(
-            len(s.members) for s in self._stages.values()
-        )
+        return self._queued_size + self._staged
 
     def inflight(self) -> int:
         """Requests currently executing."""
-        return sum(j.size for j in self._active)
+        return self._active_size
 
     def load(self) -> float:
         """Thread demand (running + queued + fluid) over capacity.
@@ -184,11 +180,7 @@ class PoolWorker:
         fluid background's continuous demand counts here so balancers
         and the autoscaler see the hybrid population.
         """
-        demand = (
-            sum(j.width for j in self._active)
-            + sum(j.width for j in self._queue)
-            + self.background_load
-        )
+        demand = self._active_width + self._queued_width + self.background_load
         return demand / self.capacity
 
     # ------------------------------------------------------------------
@@ -241,7 +233,11 @@ class PoolWorker:
         if self.scheduler.sharing:
             self._ps_admit(job)
         else:
-            self._queue.append(job)
+            key = min(self.scheduler.key(m.req) for m in job.members)
+            heapq.heappush(self._queue, (key, self._arrivals, job))
+            self._arrivals += 1
+            self._queued_width += job.width
+            self._queued_size += job.size
             self._dispatch()
 
     # -- batching (staging window) -------------------------------------
@@ -264,6 +260,7 @@ class PoolWorker:
             self._stages[key] = stage
         member = _Member(req, on_complete, now)
         stage.members.append(member)
+        self._staged += 1
         if req.absolute_deadline < stage.min_deadline:
             stage.min_deadline = req.absolute_deadline
         size = len(stage.members)
@@ -292,6 +289,7 @@ class PoolWorker:
         if stage.timer is not None:
             self.sim.cancel(stage.timer)
             stage.timer = None
+        self._staged -= len(stage.members)
         head = stage.members[0].req
         width = min(head.threads, self.capacity)
         job = _Job(stage.members, width)
@@ -346,7 +344,7 @@ class PoolWorker:
                 # Close the partial service segment at crash time so the
                 # request's timeline stays gap-free across the rebalance.
                 self._trace_segment(m.req, "service", j.started_at, now, evicted=True)
-        for j in self._queue:
+        for _, _, j in sorted(self._queue, key=itemgetter(1)):  # arrival order
             for m in j.members:
                 victims.append((m.req, m.on_complete))
                 self._trace_segment(
@@ -368,20 +366,21 @@ class PoolWorker:
         self._active.clear()
         self._queue.clear()
         self._stages.clear()
+        self._active_width = self._active_size = 0
+        self._queued_width = self._queued_size = self._staged = 0
         self._ps_last_t = now
         return victims
 
     # -- queueing (FIFO / EDF) -----------------------------------------
-    def _free_threads(self) -> int:
-        return self.capacity - sum(j.width for j in self._active)
-
     def _dispatch(self) -> None:
         now = self.sim.now()
         while self._queue:
-            i = self.scheduler.pick([j.policy_req for j in self._queue], now)
-            if self._queue[i].width > self._free_threads():
+            job = self._queue[0][2]
+            if job.width > self.capacity - self._active_width:
                 break  # policy head blocks until it fits (no backfill)
-            job = self._queue.pop(i)
+            heapq.heappop(self._queue)
+            self._queued_width -= job.width
+            self._queued_size -= job.size
             self._start(job, now)
 
     def _iso_duration(self, job: _Job) -> float:
@@ -405,12 +404,9 @@ class PoolWorker:
         # plus the background's continuous demand, over capacity. With
         # no background this is <= 1 by the dispatch guard, so the
         # duration is exactly the isolated one.
-        stretch = self._stretch(
-            sum(j.width for j in self._active) + job.width
-        )
+        stretch = self._stretch(self._active_width + job.width)
         duration = job.iso_s * stretch if stretch > 1.0 else job.iso_s
-        self.host.occupy(job.width, now)
-        self._active.append(job)
+        self._occupy(job, now)
         head = job.members[0].req
         label_key = head.tenant if size == 1 else f"batch{size}"
         job.event = self.sim.schedule_after(
@@ -422,10 +418,23 @@ class PoolWorker:
     def _finish(self, job: _Job) -> None:
         now = self.sim.now()
         job.event = None
-        self._active.remove(job)
-        self.host.vacate(job.width, now)
+        self._vacate(job, now)
         self._complete_members(job, now, shared=False)
         self._dispatch()
+
+    def _occupy(self, job: _Job, now: float) -> None:
+        """Run ``job``: claim its cores and count it active."""
+        self.host.occupy(job.width, now)
+        self._active[job] = None
+        self._active_width += job.width
+        self._active_size += job.size
+
+    def _vacate(self, job: _Job, now: float) -> None:
+        """Stop ``job``: uncount it and give its cores back."""
+        del self._active[job]
+        self._active_width -= job.width
+        self._active_size -= job.size
+        self.host.vacate(job.width, now)
 
     def _complete_members(self, job: _Job, now: float, shared: bool) -> None:
         """Account, trace and call back every member of a finished job.
@@ -460,7 +469,7 @@ class PoolWorker:
 
     # -- processor sharing ---------------------------------------------
     def _ps_rate(self) -> float:
-        demand = sum(j.width for j in self._active) + self.background_load
+        demand = self._active_width + self.background_load
         if demand <= self.capacity:
             return 1.0
         return self.capacity / demand
@@ -488,8 +497,7 @@ class PoolWorker:
             )
         job.iso_s = self._iso_duration(job)
         job.remaining_s = job.iso_s
-        self.host.occupy(job.width, now)
-        self._active.append(job)
+        self._occupy(job, now)
         self._ps_reschedule(now)
 
     def _ps_reschedule(self, now: float, spent: Event | None = None) -> None:
@@ -517,8 +525,7 @@ class PoolWorker:
         self._ps_advance(now)
         done = [j for j in self._active if j.remaining_s <= _PS_EPS]
         for job in done:
-            self._active.remove(job)
-            self.host.vacate(job.width, now)
+            self._vacate(job, now)
             self._complete_members(job, now, shared=True)
         self._ps_reschedule(now, spent=spent)
 
@@ -570,7 +577,7 @@ class WorkerPool:
         #: request completing again after a crash-split rebalance).
         self.duplicate_completions = 0
         #: Total fluid background demand (repro.hybrid), in cores,
-        #: spread evenly across live accepting workers.
+        #: spread evenly across live workers.
         self.background_demand_cores = 0.0
         self._instruments = None
         if telemetry is not None:
@@ -619,7 +626,6 @@ class WorkerPool:
     def remove_worker(self, name: str) -> None:
         """Retire a worker (scale-down); its requests are re-placed."""
         w = self._worker(name)
-        w.accepting = False
         victims = w.evict_all()
         self.workers.remove(w)
         self._emit("pool_worker_removed", worker=name, replaced=len(victims))
@@ -644,8 +650,8 @@ class WorkerPool:
         """Impose a fluid tenant population's demand on the pool.
 
         ``cores`` is the population's continuous core demand (its
-        core-seconds per second), spread evenly across live accepting
-        workers. Setting 0 clears it. The demand shows up in every
+        core-seconds per second), spread evenly across live workers.
+        Setting 0 clears it. The demand shows up in every
         load signal — :meth:`PoolWorker.load`, :meth:`utilization`,
         the telemetry gauges — and stretches service per the fluid
         model, but occupies no queue slots and costs no DES events.
@@ -667,14 +673,14 @@ class WorkerPool:
             self.background_demand_cores / len(live) if live else 0.0
         )
         for w in self.workers:
-            w.set_background(share if (w.up and w.accepting) else 0.0)
+            w.set_background(share if w.host.up else 0.0)
 
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
     def live_workers(self) -> list[PoolWorker]:
-        """Workers that are up and accepting."""
-        return [w for w in self.workers if w.up and w.accepting]
+        """Workers whose host is up."""
+        return [w for w in self.workers if w.host.up]
 
     def has_live_workers(self) -> bool:
         """Whether :meth:`select_host` could currently place anything.
@@ -778,7 +784,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def utilization(self, now: float | None = None) -> float:
         """Mean thread demand over capacity across live workers."""
-        live = [w for w in self.workers if w.up]
+        live = self.live_workers()
         if not live:
             return 0.0
         return sum(w.load() for w in live) / len(live)
@@ -833,7 +839,7 @@ class WorkerPool:
         for w in self.workers:
             qd.set(w.queue_depth(), worker=w.host.name)
             util.set(w.load(), worker=w.host.name)
-        nworkers.set(len([w for w in self.workers if w.up]))
+        nworkers.set(len(self.live_workers()))
 
     def _count(self, tenant: str, outcome: str) -> None:
         if self._instruments is not None:

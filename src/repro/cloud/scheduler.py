@@ -17,13 +17,16 @@ two mechanics, selected by its scheduler:
   in :mod:`repro.extensions.fleet` (stretch = max(1, utilization)),
   and the two are cross-validated in ``tests/test_cloud.py``.
 
+A queueing policy is a sort key (:meth:`Scheduler.key`): the worker
+keeps its queue as a heap on ``(key, arrival seq)``, computes a job's
+key once at enqueue, and starts the head — so equal keys serve in
+arrival order and one start or finish costs O(log backlog).
+
 When worker-side batching (:mod:`repro.cloud.batching`) is enabled,
-the unit the worker queues and runs is a *batch job*, and the request
-a policy sees through :meth:`Scheduler.pick` is the job's
-representative — its earliest-absolute-deadline member — so EDF
-treats a batch as exactly as urgent as its most urgent rider. With
-batching disabled (the default) every job carries one request and
-nothing changes.
+the unit the worker queues and runs is a *batch job*, keyed by the
+smallest key among its riders, so EDF treats a batch as exactly as
+urgent as its most urgent rider. With batching disabled (the default)
+every job carries one request and nothing changes.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ class Scheduler:
     #: concurrently at a shared rate (no queue).
     sharing = False
 
-    def pick(self, queue: list[TickRequest], now: float) -> int:
-        """Index into ``queue`` of the next request to start."""
+    def key(self, req: TickRequest) -> float:
+        """Queue priority of ``req``: smallest starts first."""
         raise NotImplementedError
 
 
@@ -53,8 +56,8 @@ class FifoScheduler(Scheduler):
 
     name = "fifo"
 
-    def pick(self, queue: list[TickRequest], now: float) -> int:
-        return 0
+    def key(self, req: TickRequest) -> float:
+        return 0.0
 
 
 class EdfScheduler(Scheduler):
@@ -66,12 +69,8 @@ class EdfScheduler(Scheduler):
 
     name = "edf"
 
-    def pick(self, queue: list[TickRequest], now: float) -> int:
-        best = 0
-        for i in range(1, len(queue)):
-            if queue[i].absolute_deadline < queue[best].absolute_deadline:
-                best = i
-        return best
+    def key(self, req: TickRequest) -> float:
+        return req.absolute_deadline
 
 
 class ProcessorSharingScheduler(Scheduler):
@@ -80,8 +79,8 @@ class ProcessorSharingScheduler(Scheduler):
     name = "ps"
     sharing = True
 
-    def pick(self, queue: list[TickRequest], now: float) -> int:  # pragma: no cover
-        raise RuntimeError("processor sharing has no queue to pick from")
+    def key(self, req: TickRequest) -> float:
+        raise RuntimeError("processor sharing has no queue to order")
 
 
 def make_scheduler(name: str) -> Scheduler:

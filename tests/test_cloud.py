@@ -3,11 +3,14 @@ autoscaler — plus the DES <-> analytical cross-validation against
 repro.extensions.fleet and the fig13-path identity check."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import (
     AdmissionController,
     AffinityBalancer,
     Autoscaler,
+    BatchPolicy,
     LeastLoadedBalancer,
     RobotTenant,
     RoundRobinBalancer,
@@ -38,11 +41,11 @@ def req(tenant="r0", seq=0, cycles=1e9, threads=8, deadline=0.2, issued=0.0):
 
 
 def make_pool(sim, n_workers=1, scheduler="fifo", balancer="round-robin",
-              platform=EDGE_GATEWAY, telemetry=None):
+              platform=EDGE_GATEWAY, telemetry=None, batching=None):
     hosts = [Host(f"cloud-vm{i}", platform) for i in range(n_workers)]
     return WorkerPool(
         sim, hosts, make_scheduler(scheduler), make_balancer(balancer),
-        telemetry=telemetry,
+        telemetry=telemetry, batching=batching,
     )
 
 
@@ -64,24 +67,29 @@ class TestSchedulers:
     def test_fifo_picks_head(self):
         s = make_scheduler("fifo")
         q = [req(seq=i, issued=float(i)) for i in range(3)]
-        assert s.pick(q, 10.0) == 0
+        # equal keys: the worker's arrival seq decides, so the head starts
+        assert len({s.key(r) for r in q}) == 1
 
     def test_edf_picks_earliest_deadline(self):
         s = make_scheduler("edf")
-        q = [
-            req(tenant="slow", issued=0.0, deadline=1.0),
-            req(tenant="urgent", issued=0.0, deadline=0.1),
-        ]
-        assert s.pick(q, 0.0) == 1
+        slow = req(tenant="slow", issued=0.0, deadline=1.0)
+        urgent = req(tenant="urgent", issued=0.0, deadline=0.1)
+        assert s.key(urgent) < s.key(slow)
 
     def test_edf_ties_stable(self):
-        s = make_scheduler("edf")
-        q = [req(tenant="a"), req(tenant="b")]  # identical deadlines
-        assert s.pick(q, 0.0) == 0
+        sim = Simulator()
+        pool = make_pool(sim, scheduler="edf")
+        order = []
+        pool.submit(req(tenant="busy", threads=8), lambda r, t: order.append(r.tenant))
+        tied = [f"t{i}" for i in range(6)]
+        for name in tied:  # identical deadlines, all queued behind "busy"
+            pool.submit(req(tenant=name, threads=8), lambda r, t: order.append(r.tenant))
+        sim.run(until=10.0)
+        assert order == ["busy", *tied]
 
     def test_ps_has_no_queue(self):
         with pytest.raises(RuntimeError):
-            make_scheduler("ps").pick([req()], 0.0)
+            make_scheduler("ps").key(req())
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -206,6 +214,160 @@ class TestPoolWorkerQueueing:
         assert host.busy_thread_seconds == pytest.approx(
             4 * host.exec_time(1e9, 4, DWA_PROFILE)
         )
+
+
+class TestQueueOrder:
+    """The queue order a worker's heap must keep: batches by their most
+    urgent rider, crash victims in arrival order."""
+
+    def test_batch_is_as_urgent_as_its_most_urgent_rider(self):
+        sim = Simulator()
+        pool = make_pool(
+            sim, scheduler="edf", batching=BatchPolicy(max_size=2, max_wait_s=0.01)
+        )
+        order = []
+
+        def submit_at(t, tenant, cycles, deadline):
+            r = req(tenant=tenant, cycles=cycles, deadline=deadline, issued=t)
+            sim.schedule_at(
+                t, lambda: pool.submit(r, lambda done, _: order.append(done.tenant))
+            )
+
+        submit_at(0.0, "busy", 1e9, 10.0)  # alone: starts at t=0.01
+        submit_at(0.02, "queued", 2e9, 5.0)  # its own shape: queues behind busy
+        # one batch: the lax rider first, then one due before "queued"
+        submit_at(0.04, "lax", 1e9, 9.0)
+        submit_at(0.04, "urgent", 1e9, 1.0)
+        sim.run(until=0.04)
+        assert pool.workers[0].inflight() == 1
+        assert pool.workers[0].queue_depth() == 3
+        sim.run(until=10.0)
+        assert order == ["busy", "lax", "urgent", "queued"]
+
+    def test_evict_all_returns_active_then_arrival_order_then_staged(self):
+        sim = Simulator()
+        pool = make_pool(
+            sim, scheduler="edf", batching=BatchPolicy(max_size=2, max_wait_s=1.0)
+        )
+        w = pool.workers[0]
+        names = []
+        # pair j0 runs; pairs j1..j3 queue, due in reverse arrival order
+        for i, deadline in enumerate([50.0, 30.0, 20.0, 10.0]):
+            for rider in "ab":
+                names.append(f"j{i}{rider}")
+                w.submit(
+                    req(tenant=names[-1], cycles=(i + 1) * 1e9, deadline=deadline),
+                    lambda r, t: None,
+                )
+        names.append("staged")
+        w.submit(req(tenant="staged", cycles=5e9, deadline=60.0), lambda r, t: None)
+        assert w.inflight() == 2 and w.queue_depth() == 7
+        assert [r.tenant for r, _ in w.evict_all()] == names
+        assert w.inflight() == w.queue_depth() == 0 and w.load() == 0.0
+
+
+class TestPoolWorkBound:
+    """A worker's event cost must not grow with its backlog. Counting
+    deadline reads makes that a deterministic check: an overloaded
+    admit-all fleet may read each request's deadline a bounded number
+    of times, however deep its queues grow."""
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "edf"])
+    def test_deadline_reads_per_request_are_bounded(self, monkeypatch, scheduler):
+        from repro.compute.platform import TURTLEBOT3_PI
+        from repro.experiments.fleet_scale import serve_fleet_point
+
+        reads = 0
+        deadline = TickRequest.absolute_deadline
+
+        def counted(r):
+            nonlocal reads
+            reads += 1
+            return deadline.fget(r)
+
+        pools = []
+        init = WorkerPool.__init__
+
+        def capture(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            pools.append(self)
+
+        monkeypatch.setattr(TickRequest, "absolute_deadline", property(counted))
+        monkeypatch.setattr(WorkerPool, "__init__", capture)
+        serve_fleet_point(
+            64, 2, scheduler, "least-loaded", False, 5.0, 5.0, 1.4e9, 8,
+            1.4e9 / TURTLEBOT3_PI.effective_hz, 0.02, 0, True, None,
+        )
+        (pool,) = pools
+        assert pool.queue_depth() > 500  # far past the knee: deep backlog
+        assert reads <= 2 * pool.submitted
+        if scheduler == "edf":
+            assert reads > 0  # the counting property is really in place
+
+
+def _recount(w):
+    """(load, queue depth, inflight, active width) summed afresh from its jobs."""
+    queued = [job for _, _, job in w._queue]
+    width = sum(j.width for j in w._active)
+    return (
+        (width + sum(j.width for j in queued) + w.background_load) / w.capacity,
+        sum(j.size for j in queued) + sum(len(s.members) for s in w._stages.values()),
+        sum(j.size for j in w._active),
+        width,
+    )
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.integers(min_value=1, max_value=8),
+            st.sampled_from([5e8, 1e9]),
+            st.floats(min_value=0.01, max_value=2.0),
+        ),
+        st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=0.3)),
+        st.tuples(st.just("crash_or_restore"), st.integers(min_value=0, max_value=1)),
+        st.tuples(st.just("background"), st.floats(min_value=0.0, max_value=12.0)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheduler=st.sampled_from(["fifo", "edf", "ps"]),
+    batched=st.booleans(),
+    steps=_STEPS,
+)
+def test_load_counters_match_a_recount(scheduler, batched, steps):
+    """Every worker's O(1) load signals equal the sums over its jobs
+    after any mix of submits, progress, crashes and background shifts."""
+    sim = Simulator()
+    pool = make_pool(
+        sim, n_workers=2, scheduler=scheduler, balancer="least-loaded",
+        batching=BatchPolicy(max_size=4) if batched else None,
+    )
+    for seq, (kind, *args) in enumerate(steps):
+        if kind == "submit":
+            threads, cycles, deadline = args
+            r = req(seq=seq, cycles=cycles, threads=threads, deadline=deadline,
+                    issued=sim.now())
+            pool.submit(r, lambda r, t: None)
+        elif kind == "advance":
+            sim.run(until=sim.now() + args[0])
+        elif kind == "crash_or_restore":
+            host = pool.workers[args[0]].host
+            host.up = not host.up
+            if host.up:
+                pool.on_worker_up(host)
+            else:
+                pool.on_worker_down(host)
+        else:
+            pool.set_background_demand(args[0])
+        for w in pool.workers:
+            load, depth, inflight, width = _recount(w)
+            assert (w.load(), w.queue_depth(), w.inflight()) == (load, depth, inflight)
+            assert w.host.inflight_threads == width
 
 
 class TestPoolWorkerProcessorSharing:
