@@ -1,6 +1,6 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out."""
 
-from repro.experiments import (
+from repro.experiments.ablations import (
     run_ablation_migration_granularity,
     run_ablation_netqual_metric,
     run_ablation_velocity_adaptation,

@@ -9,7 +9,7 @@ statistics never tell it why (the Fig. 7 asymmetry, weaponized).
 """
 
 from benchmarks.conftest import render
-from repro.experiments import run_chaos
+from repro.experiments.chaos import run_chaos
 
 
 def test_chaos_matrix(benchmark):

@@ -7,14 +7,13 @@ paper sketches, against the same models the main benchmarks use.
 
 from repro.analysis.tables import Table
 from repro.compute.platform import CLOUD_SERVER, EDGE_GATEWAY
+from repro.cloud.fleet import FleetServerModel, size_fleet
 from repro.extensions import (
     DvfsPolicy,
-    FleetServerModel,
     GeneticOffloadPlanner,
     PlacementGenome,
     VisionLocalizationModel,
     optimal_frequency,
-    size_fleet,
     vision_safe_velocity,
 )
 

@@ -10,7 +10,7 @@ costmap + DWA + mux pipeline.
 
 
 from benchmarks.conftest import render
-from repro.experiments import run_fig10
+from repro.experiments.fig10_vdp import run_fig10
 from repro.experiments.fig10_vdp import (
     SAMPLE_COUNTS,
     measure_real_vdp,

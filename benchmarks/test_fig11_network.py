@@ -14,7 +14,7 @@ Asserts the section's three claims:
 import numpy as np
 
 from benchmarks.conftest import render
-from repro.experiments import run_fig11
+from repro.experiments.fig11_network import run_fig11
 from repro.experiments.fig7_udp import run_fig7
 
 

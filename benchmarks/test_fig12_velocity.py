@@ -7,7 +7,7 @@ completes the mission.
 """
 
 from benchmarks.conftest import render
-from repro.experiments import run_fig12
+from repro.experiments.fig12_velocity import run_fig12
 
 
 def test_fig12_velocity(benchmark):

@@ -14,7 +14,7 @@ The paper's headline numbers: offloading reduces total energy by
 
 
 from benchmarks.conftest import render
-from repro.experiments import run_fig13
+from repro.experiments.fig13_endtoend import run_fig13
 from repro.experiments._missions import DEPLOYMENTS
 
 

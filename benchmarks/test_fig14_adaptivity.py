@@ -8,7 +8,7 @@ closes the gap.
 """
 
 from benchmarks.conftest import render
-from repro.experiments import run_fig14
+from repro.experiments.fig14_adaptivity import run_fig14
 
 
 def test_fig14_adaptivity(benchmark):

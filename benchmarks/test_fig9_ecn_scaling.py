@@ -11,7 +11,7 @@ tests.
 
 
 from benchmarks.conftest import render
-from repro.experiments import run_fig9
+from repro.experiments.fig9_ecn import run_fig9
 from repro.experiments.fig9_ecn import PARTICLE_COUNTS
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from benchmarks.conftest import render
 from repro.control.velocity_law import max_velocity_oa
-from repro.experiments import run_fleet
+from repro.experiments.fleet_scale import run_fleet
 
 ROBOTS = 14
 WORKERS = 1

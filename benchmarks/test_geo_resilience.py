@@ -16,7 +16,7 @@ cross-pool migration (zero duplicate completions, anywhere).
 from pathlib import Path
 
 from benchmarks.conftest import render
-from repro.experiments import run_geo
+from repro.experiments.geo import run_geo
 
 ROBOTS = 6
 SIM_TIME_S = 90.0

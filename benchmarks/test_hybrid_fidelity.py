@@ -38,10 +38,11 @@ import sys
 import time
 from pathlib import Path
 
+from repro.cloud.fleet import FleetServerModel
 from repro.compute.platform import CLOUD_SERVER, TURTLEBOT3_PI
 from repro.experiments.fleet_scale import serve_fleet_point
-from repro.extensions.fleet import FleetServerModel
 from repro.hybrid import serve_hybrid_point
+from repro.hybrid.experiment import calibrate_fleet_model
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hybrid_fidelity.json"
 
@@ -113,8 +114,7 @@ def _knee(points: list[dict], key: str) -> tuple[int, int]:
 def test_hybrid_fidelity():
     guard = bool(os.environ.get("HYBRID_FIDELITY_GUARD"))
 
-    model = FleetServerModel.calibrate_from_des(
-        server=CLOUD_SERVER,
+    model = calibrate_fleet_model(
         vdp_cycles=VDP_CYCLES,
         threads=THREADS,
         tick_rate_hz=TICK_RATE_HZ,

@@ -1,7 +1,7 @@
 """Table I benchmark: component power budgets of three commodity LGVs."""
 
 from benchmarks.conftest import render
-from repro.experiments import run_table1
+from repro.experiments.table1_power import run_table1
 
 
 def test_table1_power(benchmark):

@@ -8,7 +8,7 @@ ECN threshold.
 """
 
 from benchmarks.conftest import render
-from repro.experiments import run_table2
+from repro.experiments.table2_cycles import run_table2
 
 
 def test_table2_cycle_breakdown(benchmark):

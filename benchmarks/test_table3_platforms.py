@@ -1,7 +1,7 @@
 """Table III benchmark: offloading platform specifications."""
 
 from benchmarks.conftest import render
-from repro.experiments import run_table3
+from repro.experiments.table3_platforms import run_table3
 
 
 def test_table3_platforms(benchmark):

@@ -10,15 +10,12 @@ would strand the vehicle. The framework's decision trace is printed.
 Run:  python examples/adaptive_offloading.py
 """
 
-from repro import (
-    FrameworkConfig,
-    MissionRunner,
-    OffloadingFramework,
-    Pose2D,
-    build_navigation,
-    open_world,
-)
+from repro.core.framework import FrameworkConfig, OffloadingFramework
 from repro.experiments._missions import NAV_CYCLES
+from repro.workloads.missions import MissionRunner
+from repro.workloads.navigation import build_navigation
+from repro.world.geometry import Pose2D
+from repro.world.maps import open_world
 
 
 def run(adaptive: bool):

@@ -11,7 +11,8 @@ best speedup of each offload target over the local robot.
 Run:  python examples/cloud_acceleration.py
 """
 
-from repro.experiments import run_fig9, run_fig10
+from repro.experiments.fig9_ecn import run_fig9
+from repro.experiments.fig10_vdp import run_fig10
 
 
 def main() -> None:

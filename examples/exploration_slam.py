@@ -10,9 +10,12 @@ parallelized scanMatch (paper §V, Fig. 6) transforms it.
 Run:  python examples/exploration_slam.py
 """
 
-from repro import FrameworkConfig, OffloadingFramework, MissionRunner, Pose2D, box_world
+from repro.core.framework import FrameworkConfig, OffloadingFramework
 from repro.experiments._missions import EXP_CYCLES
-from repro.workloads import build_exploration
+from repro.workloads.exploration import build_exploration
+from repro.workloads.missions import MissionRunner
+from repro.world.geometry import Pose2D
+from repro.world.maps import box_world
 
 
 def run(offload: bool):

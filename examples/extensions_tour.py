@@ -9,17 +9,16 @@ Run:  python examples/extensions_tour.py
 
 import numpy as np
 
+from repro.cloud.fleet import FleetServerModel, size_fleet
 from repro.compute.platform import CLOUD_SERVER, EDGE_GATEWAY
 from repro.extensions import (
     AccessPointSelector,
     DvfsPolicy,
-    FleetServerModel,
     GeneticOffloadPlanner,
     MultiWapLink,
     PlacementGenome,
     VisionLocalizationModel,
     optimal_frequency,
-    size_fleet,
     vision_safe_velocity,
 )
 from repro.network.signal import WapSite

@@ -13,7 +13,8 @@ Run:  python examples/network_robustness.py
 
 import math
 
-from repro.experiments import run_fig11, run_ablation_netqual_metric
+from repro.experiments.ablations import run_ablation_netqual_metric
+from repro.experiments.fig11_network import run_fig11
 
 
 def main() -> None:

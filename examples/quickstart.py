@@ -15,10 +15,13 @@ from repro import quickstart_navigation
 
 def show_mission_map() -> None:
     """Render the arena + planned path + robot of one offloaded run."""
-    from repro import FrameworkConfig, MissionRunner, OffloadingFramework, Pose2D, box_world
     from repro.analysis.viz import render_mission
+    from repro.core.framework import FrameworkConfig, OffloadingFramework
     from repro.experiments._missions import NAV_CYCLES
-    from repro.workloads import build_navigation
+    from repro.workloads.missions import MissionRunner
+    from repro.workloads.navigation import build_navigation
+    from repro.world.geometry import Pose2D
+    from repro.world.maps import box_world
     import numpy as np
 
     w = build_navigation(box_world(10.0), Pose2D(2, 2, 0.7), Pose2D(8, 8, 0),

@@ -15,10 +15,13 @@ then shows the three surfaces:
 Run:  python examples/telemetry_demo.py
 """
 
-from repro import FrameworkConfig, MissionRunner, OffloadingFramework, Pose2D, box_world
+from repro.core.framework import FrameworkConfig, OffloadingFramework
 from repro.experiments._missions import NAV_CYCLES
 from repro.telemetry import Telemetry, render_report
-from repro.workloads import build_navigation
+from repro.workloads.missions import MissionRunner
+from repro.workloads.navigation import build_navigation
+from repro.world.geometry import Pose2D
+from repro.world.maps import box_world
 
 
 def main() -> None:

@@ -16,47 +16,23 @@ Quick start::
     result = quickstart_navigation()
     print(result.completion_time_s, result.total_energy_j)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+Importing the package loads none of it: every name lives in (and is
+imported from) its own module, e.g. ``repro.core.framework`` or
+``repro.experiments.fig9_ecn``, so a serving run never pays for the
+robot stack. See DESIGN.md for the system inventory and EXPERIMENTS.md
+for the paper-vs-measured record of every table and figure.
 """
 
-from repro.core.framework import FrameworkConfig, OffloadingFramework
-from repro.core.migration import OffloadingGoal
-from repro.vehicle.robot import LGV, RobotProfile, TURTLEBOT3_PROFILE
-from repro.workloads.exploration import build_exploration
-from repro.workloads.missions import MissionResult, MissionRunner
-from repro.workloads.navigation import build_navigation
-from repro.world.geometry import Pose2D
-from repro.world.maps import (
-    box_world,
-    corridor_world,
-    intel_lab_world,
-    obstacle_course_world,
-    open_world,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workloads.missions import MissionResult
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "OffloadingFramework",
-    "FrameworkConfig",
-    "OffloadingGoal",
-    "LGV",
-    "RobotProfile",
-    "TURTLEBOT3_PROFILE",
-    "MissionRunner",
-    "MissionResult",
-    "build_navigation",
-    "build_exploration",
-    "Pose2D",
-    "box_world",
-    "open_world",
-    "corridor_world",
-    "obstacle_course_world",
-    "intel_lab_world",
-    "quickstart_navigation",
-    "__version__",
-]
+__all__ = ["quickstart_navigation", "__version__"]
 
 
 def quickstart_navigation(
@@ -72,7 +48,12 @@ def quickstart_navigation(
     baseline), runs the mission, and returns completion time, the
     per-component energy budget, and the final node placement.
     """
+    from repro.core.framework import FrameworkConfig, OffloadingFramework
     from repro.experiments._missions import NAV_CYCLES
+    from repro.workloads.missions import MissionRunner
+    from repro.workloads.navigation import build_navigation
+    from repro.world.geometry import Pose2D
+    from repro.world.maps import box_world
 
     w = build_navigation(
         box_world(10.0), Pose2D(2, 2, 0.7), Pose2D(8, 8, 0), seed=seed, wap_xy=(2.0, 2.0)

@@ -2,7 +2,7 @@
 
 The controller projects what one more tenant does to everyone's tick
 latency using the same fluid contention math as
-:mod:`repro.extensions.fleet` (stretch = max(1, utilization)), then
+:mod:`repro.cloud.fleet` (stretch = max(1, utilization)), then
 applies the paper's Eq. 2c test: offloading is only worth admitting
 if the projected p95 tick latency still buys the robot more velocity
 than computing locally — and only if it does not push any *already
@@ -104,7 +104,7 @@ class AdmissionController:
     decisions: list[AdmissionDecision] = field(default_factory=list)
 
     # ------------------------------------------------------------------
-    # Projection (the fluid model of repro.extensions.fleet)
+    # Projection (the fluid model of repro.cloud.fleet)
     # ------------------------------------------------------------------
     def _capacity(self) -> float:
         """Hardware threads across live workers."""
@@ -165,7 +165,7 @@ class AdmissionController:
             v = max_velocity_oa(p95, hardware_cap=1.0)
             if p95 > spec.deadline_s or v <= v_local:
                 continue
-            if not self._protects_admitted(spec, threads):
+            if not self._protects_admitted(util):
                 continue
             reason = "admitted" if threads == spec.threads else "downgraded"
             self.admitted[spec.name] = TenantSpec(
@@ -231,9 +231,9 @@ class AdmissionController:
             ladder.append(w)
         return ladder
 
-    def _protects_admitted(self, cand: TenantSpec, threads: int) -> bool:
-        """No already-admitted tenant may be pushed past its deadline."""
-        util = self.projected_utilization((cand, threads))
+    def _protects_admitted(self, util: float) -> bool:
+        """No already-admitted tenant may be pushed past its deadline
+        at ``util``, the pool utilization with the candidate counted."""
         for s in self.admitted.values():
             if self.projected_p95(s, s.threads, util) > s.deadline_s:
                 return False

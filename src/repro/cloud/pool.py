@@ -12,7 +12,7 @@ Each worker serves under the discipline of its
 :class:`~repro.cloud.scheduler.Scheduler`: queueing (FIFO / EDF,
 requests hold cores exclusively) or processor sharing (everything
 runs, overload stretches everyone — the DES realization of
-:mod:`repro.extensions.fleet`).
+:mod:`repro.cloud.fleet`).
 
 Two opt-in extensions ride on the same worker machinery, both inert
 (byte-identical event streams) unless enabled:

@@ -14,7 +14,7 @@ two mechanics, selected by its scheduler:
   demand exceeds the worker's hardware threads, all in-flight
   requests slow down by the common factor ``capacity / demand``. This
   is the event-driven realization of the analytical contention model
-  in :mod:`repro.extensions.fleet` (stretch = max(1, utilization)),
+  in :mod:`repro.cloud.fleet` (stretch = max(1, utilization)),
   and the two are cross-validated in ``tests/test_cloud.py``.
 
 A queueing policy is a sort key (:meth:`Scheduler.key`): the worker

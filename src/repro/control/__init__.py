@@ -5,23 +5,8 @@ Rollout / DWA: sample velocities, forward-simulate trajectories, score
 against costmap + path + goal, pick the best. §V parallelizes the
 scoring loop; that speedup is modeled through the execution model.
 The Velocity Multiplexer reimplements Yujin's yocs_cmd_vel_mux.
+
+The package loads nothing: import from the modules. The Eq. 2c law in
+:mod:`repro.control.velocity_law` imports only ``math``, so the cloud
+serving stack can use it without loading DWA, the costmap or scipy.
 """
-
-from repro.control.trajectory import TrajectoryRollout, TrajectorySet
-from repro.control.dwa import DwaConfig, DwaPlanner, dwa_cycles
-from repro.control.velocity_mux import VelocityMux, MuxInput, mux_cycles
-from repro.control.safety import SafetyController
-from repro.control.velocity_law import max_velocity_oa
-
-__all__ = [
-    "TrajectoryRollout",
-    "TrajectorySet",
-    "DwaConfig",
-    "DwaPlanner",
-    "dwa_cycles",
-    "VelocityMux",
-    "MuxInput",
-    "mux_cycles",
-    "SafetyController",
-    "max_velocity_oa",
-]

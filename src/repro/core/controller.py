@@ -43,7 +43,7 @@ class Controller:
     velocity_history: list[tuple[float, float]] = field(default_factory=list)
     accuracy_history: list[tuple[float, int]] = field(default_factory=list)
     #: Recovery-ladder transitions ((t, mode)); written by
-    #: :class:`repro.recovery.RecoveryManager` so degraded intervals
+    #: :class:`repro.recovery.manager.RecoveryManager` so degraded intervals
     #: line up with the velocity trace in post-run analysis.
     degraded_history: list[tuple[float, str]] = field(default_factory=list)
     _accuracy_setters: list[Callable[[int], None]] = field(default_factory=list)

@@ -3,46 +3,8 @@
 Each module exposes a ``run_*`` function returning structured results
 plus a rendered plain-text table/chart, so the same code backs the
 pytest-benchmark targets in ``benchmarks/``, the runnable examples,
-and the regression tests. See DESIGN.md §4 for the experiment index.
+and the regression tests. Import each runner from its module
+(``from repro.experiments.fig9_ecn import run_fig9``): the package
+loads nothing, so a serving run does not import the mission stack.
+See DESIGN.md §4 for the experiment index.
 """
-
-from repro.experiments.table1_power import run_table1
-from repro.experiments.table2_cycles import run_table2
-from repro.experiments.table3_platforms import run_table3
-from repro.experiments.fig7_udp import run_fig7
-from repro.experiments.fig9_ecn import run_fig9
-from repro.experiments.fig10_vdp import run_fig10
-from repro.experiments.fig11_network import run_fig11
-from repro.experiments.fig12_velocity import run_fig12
-from repro.experiments.fig13_endtoend import run_fig13
-from repro.experiments.fig14_adaptivity import run_fig14
-from repro.experiments.ablations import (
-    run_ablation_migration_granularity,
-    run_ablation_netqual_metric,
-    run_ablation_velocity_adaptation,
-)
-from repro.experiments.chaos import run_chaos
-from repro.experiments.fleet_scale import run_fleet, run_fleet_chaos
-from repro.experiments.geo import run_geo
-from repro.experiments.recover import run_recovery
-
-__all__ = [
-    "run_chaos",
-    "run_recovery",
-    "run_fleet",
-    "run_fleet_chaos",
-    "run_geo",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_fig7",
-    "run_fig9",
-    "run_fig10",
-    "run_fig11",
-    "run_fig12",
-    "run_fig13",
-    "run_fig14",
-    "run_ablation_migration_granularity",
-    "run_ablation_netqual_metric",
-    "run_ablation_velocity_adaptation",
-]

@@ -171,7 +171,7 @@ def _one_recovery_run(
     ``retreats`` additionally counts the recovery manager's
     checkpoint/fresh restorations (its analogue of a retreat).
     """
-    from repro.recovery import attach_recovery
+    from repro.recovery.manager import attach_recovery
 
     w, fw, runner = launch_navigation(
         DEPLOYMENTS[2], timeout_s=timeout_s, telemetry=telemetry

@@ -16,7 +16,7 @@ fleet size to produce the capacity curve:
   blows through the tick deadline.
 
 The DES curve is cross-referenced against the analytical fluid model
-of :mod:`repro.extensions.fleet` (stretch = max(1, utilization)), and
+of :mod:`repro.cloud.fleet` (stretch = max(1, utilization)), and
 the single-robot point doubles as an identity check: one tenant on one
 FIFO worker with no radio must pay exactly the fig13 offloaded-tick
 quantity ``exec_time + 2 * wired_latency``.
@@ -57,10 +57,10 @@ def _analytic_vdp_s(
     tick_rate_hz: float,
     network_latency_s: float,
 ) -> float:
-    """The fluid-model tick makespan (extensions.fleet, pool-sized).
+    """The fluid-model tick makespan (cloud.fleet, pool-sized).
 
-    Identical to :meth:`repro.extensions.fleet.FleetServerModel
-    .service_time` for ``workers == 1``; the capacity generalizes to
+    Identical to :meth:`repro.cloud.fleet.FleetServerModel.service_time`
+    for ``workers == 1``; the capacity generalizes to
     ``workers * hardware_threads`` for a pool.
     """
     t_iso = ExecutionModel(server).exec_time(cycles, threads, DWA_PROFILE)

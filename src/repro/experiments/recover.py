@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from repro.experiments._missions import DEPLOYMENTS, launch_navigation
 from repro.experiments.chaos import RECOVERY_SCENARIOS, SCENARIOS
 from repro.faults import FaultInjector, FaultPlan
-from repro.recovery import RecoveryConfig, attach_recovery
+from repro.recovery import RecoveryConfig
+from repro.recovery.manager import attach_recovery
 from repro.telemetry import Telemetry
 
 #: Experiment cells: the fault-free control, then the recovery cells.

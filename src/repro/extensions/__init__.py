@@ -13,9 +13,10 @@ and the related-work baselines §X compares against:
   links to exist);
 * :mod:`repro.extensions.vision` — the vision-based LGV adaptation:
   localization-failure risk grows with speed, adding a second velocity
-  constraint;
-* :mod:`repro.extensions.fleet` — several LGVs sharing one server:
-  contention-aware sizing of the cloud side.
+  constraint.
+
+Fleet sizing — several LGVs sharing one server — lives in the serving
+stack, as :mod:`repro.cloud.fleet`.
 """
 
 from repro.extensions.dvfs import DvfsPolicy, optimal_frequency
@@ -29,7 +30,6 @@ from repro.extensions.vision import (
     VisionLocalizationModel,
     vision_safe_velocity,
 )
-from repro.extensions.fleet import FleetServerModel, size_fleet
 
 __all__ = [
     "DvfsPolicy",
@@ -41,6 +41,4 @@ __all__ = [
     "MultiWapLink",
     "VisionLocalizationModel",
     "vision_safe_velocity",
-    "FleetServerModel",
-    "size_fleet",
 ]

@@ -140,12 +140,12 @@ def _protects(
 ) -> bool:
     """No admitted tenant — focal or background — past its deadline.
 
-    The background population is identical per width, so one
-    representative check per granted width covers everyone.
+    The focal tenants face the controller's own check; the background
+    population is identical per width, so one representative check per
+    granted width covers everyone.
     """
-    for s in controller.admitted.values():
-        if controller.projected_p95(s, s.threads, util) > s.deadline_s:
-            return False
+    if not controller._protects_admitted(util):
+        return False
     for threads in by_width:
         if controller.projected_p95(spec, threads, util) > spec.deadline_s:
             return False

@@ -3,7 +3,7 @@
 A :class:`FluidBackground` represents a large population of identical
 background tenants by the *rate* at which they claim server cores —
 ``admitted × tick_rate × t_iso × width`` core-seconds per second, the
-quantity :mod:`repro.extensions.fleet` reasons about — instead of by
+quantity :mod:`repro.cloud.fleet` reasons about — instead of by
 per-tenant DES events. The demand is imposed on the
 :class:`~repro.cloud.pool.WorkerPool` (stretching focal service per
 the processor-sharing fluid limit) and on the
@@ -33,8 +33,8 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.cloud.admission import AdmissionController, TenantSpec
+from repro.cloud.fleet import FleetServerModel
 from repro.cloud.pool import WorkerPool
-from repro.extensions.fleet import FleetServerModel
 from repro.hybrid.admission import BackgroundAdmission, admit_background
 from repro.sim.kernel import Process, Simulator
 from repro.sim.rng import seeded_rng
@@ -67,10 +67,10 @@ class FluidBackground:
         projections. ``None`` admits everyone at the requested width
         (the admit-all policy).
     model:
-        Optional :class:`~repro.extensions.fleet.FleetServerModel`,
+        Optional :class:`~repro.cloud.fleet.FleetServerModel`,
         typically built by
-        :meth:`~repro.extensions.fleet.FleetServerModel.calibrate_from_des`:
-        its fitted ``t_iso`` *seeds* the calibration ratio (instead of
+        :func:`~repro.hybrid.experiment.calibrate_fleet_model`: its
+        fitted ``t_iso`` *seeds* the calibration ratio (instead of
         starting at the analytical prior of 1.0) before the periodic
         re-fit takes over.
     recalibrate_every_s:

@@ -25,9 +25,10 @@ the background verdict is the fluid projection
 
 Every single-pool serving run is built by :func:`_run_serving` here.
 The plain fleet experiment is the case ``N == K``, where the
-background is empty and inert; its identity check and its
-worker-crash chaos cell are the same build with one tenant, or with a
-fault plan armed.
+background is empty and inert; its identity check, its worker-crash
+chaos cell and the analytic model's DES calibration
+(:func:`calibrate_fleet_model`) are the same build with one tenant, or
+with a fault plan armed.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ from repro.cloud import (
     make_balancer,
     make_scheduler,
 )
+from repro.cloud.fleet import FleetServerModel
 from repro.compute.host import Host
 from repro.compute.platform import CLOUD_SERVER, TURTLEBOT3_PI
 from repro.control.velocity_law import max_velocity_oa
-from repro.extensions.fleet import FleetServerModel
 from repro.faults import FaultInjector, FaultPlan
 from repro.hybrid.admission import BackgroundAdmission
 from repro.hybrid.background import FluidBackground
@@ -422,6 +423,44 @@ def _run_serving(
     )
 
 
+def calibrate_fleet_model(
+    vdp_cycles: float = 1.4e9,
+    threads: int = 8,
+    tick_rate_hz: float = 5.0,
+    network_latency_s: float = 0.02,
+) -> FleetServerModel:
+    """Fit the analytic model's service time from a short DES run.
+
+    Serves one tenant for eight tick periods on one uncontended FIFO
+    ``CLOUD_SERVER`` worker (no radio, no admission, no background) and
+    takes the mean measured tick latency as ``calibrated_t_iso_s`` —
+    the DES is the ground truth, so whatever the serving layer actually
+    charges per tick lands in the fluid model instead of being
+    re-derived from platform constants. On a pristine host this
+    reproduces the analytical ``exec_time`` to float noise (pinned in
+    ``tests/test_hybrid.py``).
+    """
+    # local_vdp_s and seed only feed admission and the radio, both off.
+    run = _run_serving(
+        n_tenants=1, focal=1, workers=1, scheduler="fifo",
+        balancer="round-robin", admission=False,
+        sim_time_s=8 / tick_rate_hz + 1e-9, tick_rate_hz=tick_rate_hz,
+        cycles=vdp_cycles, threads=threads, local_vdp_s=1.0,
+        wired_latency_s=network_latency_s, seed=0, use_radio=False,
+        telemetry=None,
+    )
+    latencies = run.tenants[0].latencies
+    if not latencies:
+        raise RuntimeError("calibration run completed no ticks")
+    return FleetServerModel(
+        vdp_cycles=vdp_cycles,
+        threads=threads,
+        tick_rate_hz=tick_rate_hz,
+        network_latency_s=network_latency_s,
+        calibrated_t_iso_s=sum(latencies) / len(latencies),
+    )
+
+
 # ----------------------------------------------------------------------
 # One hybrid serving run
 # ----------------------------------------------------------------------
@@ -510,15 +549,14 @@ def run_fleet_hybrid(
     """The hybrid fleet experiment at one (N, K) point, both policies.
 
     The fluid model is first fitted from a short DES run
-    (:meth:`~repro.extensions.fleet.FleetServerModel.calibrate_from_des`)
-    and then re-calibrated every ``recalibrate_every_s`` virtual
-    seconds from the focal tenants' observed service times.
+    (:func:`calibrate_fleet_model`) and then re-calibrated every
+    ``recalibrate_every_s`` virtual seconds from the focal tenants'
+    observed service times.
     Deterministic: same arguments -> bit-identical
     :meth:`HybridResult.to_json`, regardless of ``PYTHONHASHSEED``.
     """
     local_vdp_s = vdp_cycles / TURTLEBOT3_PI.effective_hz
-    model = FleetServerModel.calibrate_from_des(
-        server=CLOUD_SERVER,
+    model = calibrate_fleet_model(
         vdp_cycles=vdp_cycles,
         threads=threads,
         tick_rate_hz=tick_rate_hz,

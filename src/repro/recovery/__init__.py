@@ -11,16 +11,18 @@ The subsystem has four cooperating parts:
   detection from observable datagrams only;
 * :mod:`~repro.recovery.manager` — the degraded-mode ladder and
   checkpoint-restore orchestration, wired on via
-  :func:`attach_recovery`.
+  :func:`~repro.recovery.manager.attach_recovery`.
 
-Nothing here runs unless :func:`attach_recovery` (or manual wiring)
-is called: an unattached simulation is bit-identical to one built
-before this package existed. See ``docs/recovery.md``.
+The manager drives the offloading framework, so it is imported from
+its module and not re-exported here: :mod:`repro.sites` uses the other
+parts without loading :mod:`repro.core`. Nothing here runs unless
+:func:`~repro.recovery.manager.attach_recovery` (or manual wiring) is
+called: an unattached simulation is bit-identical to one built before
+this package existed. See ``docs/recovery.md``.
 """
 
 from repro.recovery.checkpoint import Checkpoint, CheckpointStore
 from repro.recovery.config import RecoveryConfig
-from repro.recovery.manager import MODES, RecoveryManager, attach_recovery
 from repro.recovery.protocol import (
     ABORTED,
     COMMITTED,
@@ -36,10 +38,7 @@ __all__ = [
     "CheckpointStore",
     "Lease",
     "LeaseSupervisor",
-    "MODES",
     "MigrationTicket",
     "RecoveryConfig",
-    "RecoveryManager",
     "TwoPhaseMigrator",
-    "attach_recovery",
 ]

@@ -259,8 +259,11 @@ class Simulator:
     def _fire(self, ev: Event) -> None:
         """Fire one popped event with full instrumentation.
 
-        Snapshot scalars (time/seq/parent) are taken *before* the
-        callback runs: a periodic callback may recycle ``ev`` through
+        Only :meth:`step` and instrumented runs (auditor, profiler or
+        telemetry attached) come here; an uninstrumented :meth:`run`
+        inlines its own fast path. Snapshot scalars
+        (label/time/seq/parent) are taken *before* the callback runs: a
+        periodic callback may recycle ``ev`` through
         :meth:`reschedule_after`, mutating the handle in place.
         """
         auditor = self.auditor
@@ -273,49 +276,30 @@ class Simulator:
             ):
                 auditor.observe(last, ev)
             self._last_fired = _FiredRef(ev)
+        label = ev.label
+        t_event = ev.time
         seq = ev.seq
+        parent = ev.parent
         self._firing_seq = seq
         self._in_event = True
-        # The firing body is duplicated across the two arms so the
-        # profiler-off path pays exactly one attribute test per event
-        # (budgeted by benchmarks/test_obs_overhead.py).
         prof = self.profiler
-        if prof is None:
-            try:
-                tel = self.telemetry
-                if tel is None:
+        t_fire = prof.clock() if prof is not None else 0.0
+        try:
+            tel = self.telemetry
+            if tel is None:
+                ev.callback()
+            else:
+                span = tel.tracer.begin(label or "event", track="kernel")
+                try:
                     ev.callback()
-                else:
-                    span = tel.tracer.begin(ev.label or "event", track="kernel")
-                    try:
-                        ev.callback()
-                    finally:
-                        tel.tracer.end(span)
-                    if self._tel_events is not None:
-                        self._tel_events.inc()
-            finally:
-                self._in_event = False
-                self._firing_seq = -1
-        else:
-            label = ev.label
-            t_event = ev.time
-            parent = ev.parent
-            t_fire = prof.clock()
-            try:
-                tel = self.telemetry
-                if tel is None:
-                    ev.callback()
-                else:
-                    span = tel.tracer.begin(label or "event", track="kernel")
-                    try:
-                        ev.callback()
-                    finally:
-                        tel.tracer.end(span)
-                    if self._tel_events is not None:
-                        self._tel_events.inc()
-            finally:
-                self._in_event = False
-                self._firing_seq = -1
+                finally:
+                    tel.tracer.end(span)
+                if self._tel_events is not None:
+                    self._tel_events.inc()
+        finally:
+            self._in_event = False
+            self._firing_seq = -1
+            if prof is not None:
                 prof.record(label, t_event, seq, parent, prof.clock() - t_fire)
         self._processed += 1
 

@@ -168,7 +168,7 @@ def instrument_recovery(
     manager: RecoveryManager,
     period_s: float = 1.0,
 ) -> Process:
-    """Periodic sampler for a :class:`repro.recovery.RecoveryManager`.
+    """Periodic sampler for a :class:`repro.recovery.manager.RecoveryManager`.
 
     The recovery layer already emits discrete events (``lease_expired``,
     ``migration_phase``, ``recovery_mode``) when built with a telemetry

@@ -1,6 +1,6 @@
 """Tests for repro.cloud: pool, schedulers, balancers, admission,
 autoscaler — plus the DES <-> analytical cross-validation against
-repro.extensions.fleet and the fig13-path identity check."""
+repro.cloud.fleet and the fig13-path identity check."""
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +20,10 @@ from repro.cloud import (
     make_balancer,
     make_scheduler,
 )
+from repro.cloud.fleet import FleetServerModel
 from repro.compute import CLOUD_SERVER, EDGE_GATEWAY, Host
 from repro.compute.executor import DWA_PROFILE
 from repro.control.velocity_law import max_velocity_oa
-from repro.extensions.fleet import FleetServerModel
 from repro.faults import FaultInjector, FaultPlan, LinkOutage, ServerCrash
 from repro.sim.kernel import Simulator
 from repro.telemetry import Telemetry
@@ -606,6 +606,31 @@ class TestAdmissionController:
         )
         d = ac.request_admission(fast_local)
         assert not d.admitted
+
+    def test_one_utilization_projection_per_width_tried(self):
+        ac = self._controller()
+        project = ac.projected_utilization
+        widths = []
+
+        def counted(extra=None):
+            widths.append(extra[1])
+            return project(extra)
+
+        ac.projected_utilization = counted
+        ladder = ac._width_ladder(self.SPEC["threads"])
+        decisions = []
+        for i in range(14):
+            widths.clear()
+            d = ac.request_admission(TenantSpec(f"r{i:02d}", **self.SPEC))
+            decisions.append(d)
+            if d.admitted:
+                # The protection check reuses the width's projection.
+                assert widths == ladder[: ladder.index(d.threads) + 1]
+            else:
+                # Every width once, then the width-1 projection reported.
+                assert widths == ladder + [1]
+        assert any(d.downgraded for d in decisions)
+        assert not decisions[-1].admitted
 
     def test_release_frees_capacity(self):
         ac = self._controller()

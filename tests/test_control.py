@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.control import (
-    DwaConfig,
-    DwaPlanner,
-    SafetyController,
-    TrajectoryRollout,
-    VelocityMux,
-    dwa_cycles,
-    max_velocity_oa,
-    mux_cycles,
-)
+from repro.control.dwa import DwaConfig, DwaPlanner, dwa_cycles
+from repro.control.safety import SafetyController
+from repro.control.trajectory import TrajectoryRollout
+from repro.control.velocity_law import max_velocity_oa
+from repro.control.velocity_mux import VelocityMux, mux_cycles
 from repro.perception import CostValues, LayeredCostmap
 from repro.world import Lidar, Pose2D, box_world, open_world
 

@@ -8,16 +8,17 @@ matrices lives in benchmarks/.
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    run_ablation_netqual_metric,
-    run_fig9,
+from repro.experiments.ablations import run_ablation_netqual_metric
+from repro.experiments.fig9_ecn import PARTICLE_COUNTS, measure_real_slam, run_fig9
+from repro.experiments.fig10_vdp import (
+    SAMPLE_COUNTS,
+    measure_real_vdp,
     run_fig10,
-    run_fig11,
-    run_table1,
-    run_table3,
+    vdp_cycles,
 )
-from repro.experiments.fig9_ecn import PARTICLE_COUNTS, measure_real_slam
-from repro.experiments.fig10_vdp import SAMPLE_COUNTS, measure_real_vdp, vdp_cycles
+from repro.experiments.fig11_network import run_fig11
+from repro.experiments.table1_power import run_table1
+from repro.experiments.table3_platforms import run_table3
 
 
 class TestTable1:

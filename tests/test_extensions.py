@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from repro.compute.platform import CLOUD_SERVER, EDGE_GATEWAY
+from repro.cloud.fleet import FleetServerModel, size_fleet
 from repro.extensions import (
     AccessPointSelector,
     DvfsPolicy,
-    FleetServerModel,
     GeneticOffloadPlanner,
     MultiWapLink,
     PlacementGenome,
     VisionLocalizationModel,
     optimal_frequency,
-    size_fleet,
     vision_safe_velocity,
 )
 from repro.network.signal import WapSite

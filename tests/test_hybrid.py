@@ -34,18 +34,18 @@ from repro.cloud import (
     make_balancer,
     make_scheduler,
 )
+from repro.cloud.fleet import FleetServerModel
 from repro.cloud.request import TickRequest
 from repro.compute.host import Host
 from repro.compute.platform import CLOUD_SERVER, TURTLEBOT3_PI
 from repro.experiments.fleet_scale import run_fleet_chaos, serve_fleet_point
-from repro.extensions.fleet import FleetServerModel
 from repro.hybrid import (
     FluidBackground,
     admit_background,
     run_fleet_hybrid,
     serve_hybrid_point,
 )
-from repro.hybrid.experiment import _outcome_json
+from repro.hybrid.experiment import _outcome_json, calibrate_fleet_model
 from repro.sim.kernel import Simulator
 from repro.telemetry import Telemetry
 
@@ -275,10 +275,10 @@ def test_background_demand_tightens_projections():
 
 
 # ---------------------------------------------------------------------------
-# Satellite: calibrate_from_des
+# The analytic model's DES calibration
 # ---------------------------------------------------------------------------
-def test_calibrate_from_des_matches_analytic_on_pristine_host():
-    fitted = FleetServerModel.calibrate_from_des()
+def test_calibrate_fleet_model_matches_analytic_on_pristine_host():
+    fitted = calibrate_fleet_model()
     analytic = FleetServerModel()
     assert fitted.calibrated_t_iso_s is not None
     # An uncontended FIFO worker charges exactly the execution model's
@@ -287,6 +287,17 @@ def test_calibrate_from_des_matches_analytic_on_pristine_host():
     assert fitted.service_time(1).vdp_time_s == pytest.approx(
         analytic.service_time(1).vdp_time_s, abs=1e-12
     )
+
+
+def test_calibrate_fleet_model_pins_the_default_fit():
+    # The bits of the standalone calibration run this builder replaced.
+    fitted = calibrate_fleet_model()
+    assert fitted.calibrated_t_iso_s == float.fromhex("0x1.bb3a121a07880p-5")
+
+
+def test_calibrate_fleet_model_raises_when_no_tick_completes():
+    with pytest.raises(RuntimeError, match="completed no ticks"):
+        calibrate_fleet_model(vdp_cycles=5e10, threads=1, tick_rate_hz=10.0)
 
 
 def test_calibrated_t_iso_overrides_analytic():

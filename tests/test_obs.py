@@ -285,6 +285,63 @@ class TestKernelProfiler:
         assert merged["labels"]["shared"]["count"] == 2
         assert merged["queue"]["pushes"] >= 2
 
+    def test_profiler_and_telemetry_share_one_firing(self):
+        from repro.telemetry.instrument import instrument_simulator
+
+        sim = Simulator()
+        tel = Telemetry(clock=sim.now)
+        instrument_simulator(sim, tel)
+        log = []
+        tick = self._fake_clock()
+
+        def clock():
+            log.append("clock")
+            return tick()
+
+        prof = KernelProfiler(clock=clock).attach(sim)
+        begin, end = tel.tracer.begin, tel.tracer.end
+
+        def logged_begin(name, **kw):
+            log.append("begin")
+            return begin(name, **kw)
+
+        def logged_end(span, **kw):
+            log.append("end")
+            return end(span, **kw)
+
+        tel.tracer.begin, tel.tracer.end = logged_begin, logged_end
+
+        def boom():
+            raise RuntimeError("boom")
+
+        def ok():
+            sim.schedule_after(1.0, boom, label="boom")
+
+        sim.schedule_at(1.0, ok, label="ok")
+        log.clear()  # attach's own clock read
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+
+        # The profiler brackets the kernel span on both events, and the
+        # raising event is still profiled and its span still closed.
+        assert log == ["clock", "begin", "end", "clock"] * 2
+        assert prof.events == 2
+        assert prof.labels["ok"].count == prof.labels["boom"].count == 1
+        assert prof.labels["boom"].wall_s == pytest.approx(0.001)
+        assert "ok;boom" in prof.to_collapsed()
+        kernel = [s for s in tel.tracer.spans if s.track == "kernel"]
+        assert [(s.name, s.t_start, s.t_end) for s in kernel] == [
+            ("ok", 1.0, 1.0), ("boom", 2.0, 2.0),
+        ]
+        # Only the event that returned counts as fired.
+        assert tel.metrics.get("sim_events_total").total() == 1
+        assert sim.events_processed == 1
+        # The firing flags were reset: the simulator runs on.
+        sim.schedule_at(3.0, lambda: None, label="after")
+        sim.run()
+        assert sim.events_processed == 2
+        assert prof.labels["after"].count == 1
+
     def test_default_profiling_registry(self):
         registry = Simulator.install_default_profiling()
         try:
@@ -469,7 +526,7 @@ class TestMigrationTracing:
 
 class TestVdpTickTracing:
     def test_fig9_traces_reconcile(self):
-        from repro.experiments import run_fig9
+        from repro.experiments.fig9_ecn import run_fig9
 
         tel = Telemetry()
         tel.enable_obs()

@@ -12,11 +12,10 @@ from repro.recovery import (
     COMMITTED,
     CheckpointStore,
     LeaseSupervisor,
-    MODES,
     RecoveryConfig,
-    RecoveryManager,
     TwoPhaseMigrator,
 )
+from repro.recovery.manager import MODES, RecoveryManager
 from repro.sim import Simulator
 
 #: Tight timeouts so every retry ladder resolves in well under a second
@@ -782,7 +781,7 @@ class TestSwitcherMigratorContract:
         from types import SimpleNamespace
 
         from repro.core.switcher import Switcher
-        from repro.recovery import attach_recovery
+        from repro.recovery.manager import attach_recovery
 
         sim = Simulator()
         graph = Graph(sim, ScriptedTransport())

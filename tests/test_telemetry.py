@@ -406,7 +406,7 @@ class TestInstrumentHelpers:
 
 class TestEndToEnd:
     def test_fig9_traced_run_produces_valid_artifacts(self, tmp_path):
-        from repro.experiments import run_fig9
+        from repro.experiments.fig9_ecn import run_fig9
 
         tel = Telemetry()
         res = run_fig9(telemetry=tel)
