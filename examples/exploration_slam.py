@@ -12,8 +12,8 @@ Run:  python examples/exploration_slam.py
 
 from repro.core.framework import FrameworkConfig, OffloadingFramework
 from repro.experiments._missions import EXP_CYCLES
-from repro.workloads.exploration import build_exploration
 from repro.workloads.missions import MissionRunner
+from repro.workloads.navigation import build_exploration
 from repro.world.geometry import Pose2D
 from repro.world.maps import box_world
 

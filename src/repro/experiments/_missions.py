@@ -7,9 +7,8 @@ from dataclasses import dataclass
 from repro.core.framework import FrameworkConfig, OffloadingFramework
 from repro.core.migration import OffloadingGoal
 from repro.telemetry import Telemetry
-from repro.workloads.exploration import ExplorationWorkload, build_exploration
 from repro.workloads.missions import MissionRunner
-from repro.workloads.navigation import NavigationWorkload, build_navigation
+from repro.workloads.navigation import Workload, build_exploration, build_navigation
 from repro.world.geometry import Pose2D
 from repro.world.grid import OccupancyGrid
 from repro.world.maps import box_world
@@ -58,21 +57,14 @@ DEPLOYMENTS: tuple[Deployment, ...] = (
 )
 
 
-def launch_navigation(
+def _launch(
+    w: Workload,
     deployment: Deployment,
-    world: OccupancyGrid | None = None,
-    start: Pose2D = Pose2D(2, 2, 0.7),
-    goal: Pose2D = Pose2D(8, 8, 0),
-    wap_xy: tuple[float, float] = (2.0, 2.0),
-    seed: int = 0,
-    timeout_s: float = 400.0,
-    goal_mode: OffloadingGoal = OffloadingGoal.COMPLETION_TIME,
-    telemetry: Telemetry | None = None,
-) -> tuple[NavigationWorkload, OffloadingFramework, MissionRunner]:
-    """Build a navigation mission under ``deployment`` (not yet run)."""
-    w = build_navigation(
-        world or box_world(10.0), start, goal, wap_xy=wap_xy, seed=seed, telemetry=telemetry
-    )
+    wap_xy: tuple[float, float],
+    cycles: dict[str, float],
+    goal_mode: OffloadingGoal,
+    timeout_s: float,
+) -> tuple[Workload, OffloadingFramework, MissionRunner]:
     server = w.gateway_host if deployment.server == "gateway" else w.cloud_host
     fw = OffloadingFramework(
         w.graph,
@@ -80,7 +72,7 @@ def launch_navigation(
         w.lgv_host,
         server,
         wap_xy,
-        NAV_CYCLES,
+        cycles,
         FrameworkConfig(
             goal=goal_mode,
             initial_placement=deployment.placement,
@@ -91,6 +83,24 @@ def launch_navigation(
     return w, fw, runner
 
 
+def launch_navigation(
+    deployment: Deployment,
+    world: OccupancyGrid | None = None,
+    start: Pose2D = Pose2D(2, 2, 0.7),
+    goal: Pose2D = Pose2D(8, 8, 0),
+    wap_xy: tuple[float, float] = (2.0, 2.0),
+    seed: int = 0,
+    timeout_s: float = 400.0,
+    goal_mode: OffloadingGoal = OffloadingGoal.COMPLETION_TIME,
+    telemetry: Telemetry | None = None,
+) -> tuple[Workload, OffloadingFramework, MissionRunner]:
+    """Build a navigation mission under ``deployment`` (not yet run)."""
+    w = build_navigation(
+        world or box_world(10.0), start, goal, wap_xy=wap_xy, seed=seed, telemetry=telemetry
+    )
+    return _launch(w, deployment, wap_xy, NAV_CYCLES, goal_mode, timeout_s)
+
+
 def launch_exploration(
     deployment: Deployment,
     world: OccupancyGrid | None = None,
@@ -99,23 +109,9 @@ def launch_exploration(
     seed: int = 0,
     timeout_s: float = 700.0,
     telemetry: Telemetry | None = None,
-) -> tuple[ExplorationWorkload, OffloadingFramework, MissionRunner]:
+) -> tuple[Workload, OffloadingFramework, MissionRunner]:
     """Build an exploration mission under ``deployment`` (not yet run)."""
     w = build_exploration(
         world or box_world(8.0), start, wap_xy=wap_xy, seed=seed, telemetry=telemetry
     )
-    server = w.gateway_host if deployment.server == "gateway" else w.cloud_host
-    fw = OffloadingFramework(
-        w.graph,
-        w.lgv,
-        w.lgv_host,
-        server,
-        wap_xy,
-        EXP_CYCLES,
-        FrameworkConfig(
-            initial_placement=deployment.placement,
-            server_threads=deployment.threads,
-        ),
-    )
-    runner = MissionRunner(w, framework=fw, timeout_s=timeout_s)
-    return w, fw, runner
+    return _launch(w, deployment, wap_xy, EXP_CYCLES, OffloadingGoal.COMPLETION_TIME, timeout_s)

@@ -15,9 +15,8 @@ from repro.analysis.tables import Table
 from repro.core.bottleneck import NodeClassification, classify_nodes
 from repro.core.framework import FrameworkConfig, OffloadingFramework
 from repro.telemetry import Telemetry
-from repro.workloads.exploration import build_exploration
 from repro.workloads.missions import MissionRunner
-from repro.workloads.navigation import build_navigation
+from repro.workloads.navigation import Workload, build_exploration, build_navigation
 from repro.world.geometry import Pose2D
 from repro.world.maps import box_world
 
@@ -60,28 +59,7 @@ class Table2Result:
         return self.table.render()
 
 
-def _profile_navigation(
-    duration_s: float, seed: int, telemetry: Telemetry | None = None
-) -> dict[str, float]:
-    w = build_navigation(
-        box_world(10.0), Pose2D(2, 2, 0.7), Pose2D(8, 8, 0), seed=seed,
-        wap_xy=(2.0, 2.0), telemetry=telemetry,
-    )
-    fw = OffloadingFramework(
-        w.graph, w.lgv, w.lgv_host, w.gateway_host, (2.0, 2.0), {}, _PROFILE_CONFIG
-    )
-    runner = MissionRunner(w, framework=fw, timeout_s=duration_s)
-    runner.run()
-    return {k: v for k, v in runner._merged_cycles().items() if k in REPORTED}
-
-
-def _profile_exploration(
-    duration_s: float, seed: int, telemetry: Telemetry | None = None
-) -> dict[str, float]:
-    w = build_exploration(
-        box_world(8.0), Pose2D(2, 2, 0.5), seed=seed, wap_xy=(2.0, 2.0),
-        telemetry=telemetry,
-    )
+def _profile(w: Workload, duration_s: float) -> dict[str, float]:
     fw = OffloadingFramework(
         w.graph, w.lgv, w.lgv_host, w.gateway_host, (2.0, 2.0), {}, _PROFILE_CONFIG
     )
@@ -98,8 +76,20 @@ def run_table2(
     ``duration_s`` caps each profiling mission; shares converge within
     tens of seconds because the pipeline is periodic.
     """
-    nav = _profile_navigation(duration_s, seed, telemetry)
-    exp = _profile_exploration(duration_s, seed, telemetry)
+    nav = _profile(
+        build_navigation(
+            box_world(10.0), Pose2D(2, 2, 0.7), Pose2D(8, 8, 0), seed=seed,
+            wap_xy=(2.0, 2.0), telemetry=telemetry,
+        ),
+        duration_s,
+    )
+    exp = _profile(
+        build_exploration(
+            box_world(8.0), Pose2D(2, 2, 0.5), seed=seed, wap_xy=(2.0, 2.0),
+            telemetry=telemetry,
+        ),
+        duration_s,
+    )
     cls_nav = classify_nodes(nav)
     cls_exp = classify_nodes(exp)
 

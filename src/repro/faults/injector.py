@@ -115,7 +115,7 @@ class FaultInjector:
 
         ``workload`` must expose ``sim``, ``fabric``, ``graph``,
         ``lgv_host``, ``gateway_host`` and ``cloud_host`` (the
-        :class:`~repro.workloads.navigation.NavigationWorkload` shape).
+        :class:`~repro.workloads.navigation.Workload` shape).
         """
         return cls(
             workload.sim,

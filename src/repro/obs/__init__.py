@@ -33,7 +33,7 @@ from repro.obs.analyze import critical_path_report
 from repro.obs.context import IdAllocator, TraceContext
 from repro.obs.profiler import KernelProfiler, aggregate_profiles
 from repro.obs.slo import P2Quantile, SloMonitor, SloPolicy
-from repro.obs.tracing import SEGMENT_NAMES, RequestTracer, Segment, TraceTree
+from repro.obs.tracing import SEGMENT_NAMES, RequestTracer, TraceTree
 
 __all__ = [
     "IdAllocator",
@@ -42,7 +42,6 @@ __all__ = [
     "P2Quantile",
     "RequestTracer",
     "SEGMENT_NAMES",
-    "Segment",
     "SloMonitor",
     "SloPolicy",
     "TraceContext",

@@ -13,21 +13,21 @@ Segments telescope: within one tick the boundaries are shared
 (``serialize`` ends where ``uplink`` starts, ...), so the sum of
 segment durations reconciles with the end-to-end latency — the
 invariant :meth:`TraceTree.reconciles` checks and the fig13 acceptance
-test asserts. Every recorded segment is mirrored into the plain span
-:class:`~repro.telemetry.spans.Tracer` (category ``"request"``), so
-the existing Chrome-trace export shows causal trees with no new
+test asserts. A segment is one :class:`~repro.telemetry.spans.Span`
+(category ``"request"``, track ``req:<name>``) carrying its context in
+``Span.ctx``; the same object goes into its tree and, when a span
+:class:`~repro.telemetry.spans.Tracer` is attached, into that tracer,
+so the existing Chrome-trace export shows causal trees with no new
 artifact format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.obs.context import IdAllocator, TraceContext
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.spans import Tracer
+from repro.telemetry.spans import Span, Tracer
 
 #: The canonical segment vocabulary of an offloaded tick, in causal
 #: order. Layers may add others (``transport``, 2PC phase names), but
@@ -43,21 +43,6 @@ SEGMENT_NAMES: tuple[str, ...] = (
 
 
 @dataclass
-class Segment:
-    """One named interval of one trace."""
-
-    ctx: TraceContext
-    name: str
-    t_start: float
-    t_end: float
-    attrs: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
-
-@dataclass
 class TraceTree:
     """One request's causal tree: a root plus its segments."""
 
@@ -68,8 +53,13 @@ class TraceTree:
     deadline_s: float | None = None
     t_end: float | None = None
     status: str = "open"
-    segments: list[Segment] = field(default_factory=list)
+    segments: list[Span] = field(default_factory=list)
     attrs: dict[str, Any] = field(default_factory=dict)
+    #: The ``req:<name>`` track every span of this tree is recorded on.
+    track: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.track = f"req:{self.name}"
 
     @property
     def finished(self) -> bool:
@@ -91,7 +81,7 @@ class TraceTree:
             and self.latency_s > self.deadline_s
         )
 
-    def top_segments(self) -> list[Segment]:
+    def top_segments(self) -> list[Span]:
         """Segments that are direct children of the root.
 
         Nested sub-attribution (the radio splitting ``uplink`` into
@@ -99,7 +89,8 @@ class TraceTree:
         not double-count in sums, so every aggregate below works on
         this level only.
         """
-        return [s for s in self.segments if s.ctx.parent_id == self.root.span_id]
+        root = self.root.span_id
+        return [s for s in self.segments if s.ctx is not None and s.ctx.parent_id == root]
 
     def segment_sum(self) -> float:
         """Total time across the top-level segments."""
@@ -133,15 +124,15 @@ class TraceTree:
 
 
 class RequestTracer:
-    """Records causal trees and mirrors them onto a span tracer.
+    """Records causal trees, optionally onto a span tracer too.
 
     Parameters
     ----------
     tracer:
-        Optional :class:`~repro.telemetry.spans.Tracer` every segment
-        is mirrored into (track ``req:<name>``, category
-        ``"request"``) — this is what puts causal trees in the Chrome
-        trace artifact.
+        Optional :class:`~repro.telemetry.spans.Tracer` that also keeps
+        every segment span and one span per finished tree (track
+        ``req:<name>``, category ``"request"``) — this is what puts
+        causal trees in the Chrome trace artifact.
     seed:
         Seed for deterministic trace-id allocation.
     max_traces:
@@ -151,7 +142,7 @@ class RequestTracer:
 
     def __init__(
         self,
-        tracer: "Tracer | None" = None,
+        tracer: Tracer | None = None,
         seed: int = 0,
         max_traces: int = 100_000,
     ) -> None:
@@ -204,17 +195,18 @@ class RequestTracer:
         if tree is None:
             return None
         child = ctx.child(self.ids.new_span_id())
-        tree.segments.append(Segment(child, name, t_start, t_end, dict(attrs)))
+        span = Span(
+            name,
+            tree.track,
+            t_start,
+            t_end,
+            cat="request",
+            args={"trace": child.short(), **attrs},
+            ctx=child,
+        )
+        tree.segments.append(span)
         if self.tracer is not None:
-            self.tracer.complete(
-                name,
-                ts=t_start,
-                dur=t_end - t_start,
-                track=f"req:{tree.name}",
-                cat="request",
-                trace=child.short(),
-                **attrs,
-            )
+            self.tracer.record(span)
         return child
 
     def instant(
@@ -244,7 +236,7 @@ class RequestTracer:
                 f"{tree.kind}:{tree.name}",
                 ts=tree.t_start,
                 dur=t - tree.t_start,
-                track=f"req:{tree.name}",
+                track=tree.track,
                 cat="request",
                 trace=tree.root.short(),
                 status=status,

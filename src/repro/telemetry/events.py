@@ -38,7 +38,8 @@ class EventBus:
         Retention cap; past it new events still reach subscribers but
         are no longer kept in :attr:`events` (``dropped`` counts them).
     on_first_drop:
-        Called exactly once, when the cap is first exceeded — the
+        Called exactly once, with the overflowing event's time, when
+        the cap is first exceeded — the
         :class:`~repro.telemetry.hub.Telemetry` facade wires this to a
         warn-once counter so a truncated event log is visible in the
         metrics artifact, not just in this object's state.
@@ -47,7 +48,7 @@ class EventBus:
     def __init__(
         self,
         max_events: int = 200_000,
-        on_first_drop: Callable[[], None] | None = None,
+        on_first_drop: Callable[[float], None] | None = None,
     ) -> None:
         self.max_events = max_events
         self.events: list[TelemetryEvent] = []
@@ -63,7 +64,7 @@ class EventBus:
         else:
             self.dropped += 1
             if self.dropped == 1 and self.on_first_drop is not None:
-                self.on_first_drop()
+                self.on_first_drop(t)
         for fn in self._subscribers.get(kind, ()):
             fn(ev)
         for fn in self._subscribers.get("*", ()):

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.telemetry.events import EventBus, TelemetryEvent
 from repro.telemetry.metrics import Registry
-from repro.telemetry.spans import Tracer
+from repro.telemetry.spans import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.slo import SloMonitor, SloPolicy
@@ -60,8 +60,8 @@ class Telemetry:
         """Turn on causal request tracing; idempotent.
 
         Returns the :class:`~repro.obs.tracing.RequestTracer` hook
-        sites will record into. Segments mirror onto :attr:`tracer`,
-        so the Chrome trace artifact gains ``req:<name>`` tracks.
+        sites will record into. Its segments are kept by :attr:`tracer`
+        too, so the Chrome trace artifact gains ``req:<name>`` tracks.
         """
         if self.requests is None:
             from repro.obs.tracing import RequestTracer
@@ -83,17 +83,26 @@ class Telemetry:
             self.slo = SloMonitor(self, policy or SloPolicy())
         return self.slo
 
-    def _events_overflowed(self) -> None:
-        """Warn-once hook for the event bus hitting its retention cap."""
+    def _events_overflowed(self, t: float) -> None:
+        """Warn-once hook for the event bus hitting its retention cap.
+
+        The marker is stamped with the overflowing event's time ``t``,
+        not the tracer clock, which serving runs never bind.
+        """
         self.metrics.counter(
             "telemetry_events_dropped",
             "event-bus retention cap hit; later events not retained",
         ).inc()
-        self.tracer.instant(
-            "event_bus_overflow",
-            track="events",
-            cat="telemetry",
-            max_events=self.events.max_events,
+        self.tracer.record(
+            Span(
+                "event_bus_overflow",
+                "events",
+                t,
+                t,
+                cat="telemetry",
+                args={"max_events": self.events.max_events},
+                kind="instant",
+            )
         )
 
     # ------------------------------------------------------------------

@@ -26,7 +26,10 @@ import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.context import TraceContext
 
 #: Microseconds per clock unit (clock seconds -> Chrome trace ``ts``).
 _US = 1e6
@@ -38,7 +41,9 @@ class Span:
 
     ``t_end`` is ``None`` while the span is open; :meth:`Tracer.end`
     closes it. ``kind`` distinguishes duration spans (``"span"``) from
-    zero-duration instants (``"instant"``).
+    zero-duration instants (``"instant"``). ``ctx`` is set only on a
+    request-trace segment (:mod:`repro.obs.tracing`): its position in
+    the request's causal tree.
     """
 
     name: str
@@ -48,6 +53,7 @@ class Span:
     cat: str = ""
     args: dict[str, Any] = field(default_factory=dict)
     kind: str = "span"
+    ctx: TraceContext | None = None
 
     @property
     def duration(self) -> float:
@@ -108,7 +114,7 @@ class Tracer:
         span.t_end = self.clock()
         if args:
             span.args.update(args)
-        self._record(span)
+        self.record(span)
         return span
 
     @contextmanager
@@ -144,7 +150,7 @@ class Tracer:
             cat=cat,
             args=dict(args),
         )
-        self._record(span)
+        self.record(span)
         return span
 
     def instant(self, name: str, /, track: str = "main", cat: str = "", **args: Any) -> Span:
@@ -159,10 +165,11 @@ class Tracer:
             args=dict(args),
             kind="instant",
         )
-        self._record(span)
+        self.record(span)
         return span
 
-    def _record(self, span: Span) -> None:
+    def record(self, span: Span) -> None:
+        """Keep a finished span, unless the retention cap is reached."""
         if len(self.spans) >= self.max_spans:
             self.dropped += 1
             return

@@ -1,9 +1,9 @@
 """Runnable LGV workloads: the Fig. 2 pipeline as middleware nodes.
 
 :mod:`repro.workloads.pipeline` holds one Node class per functional
-node; :mod:`repro.workloads.navigation` and
-:mod:`repro.workloads.exploration` assemble the with-map and
-without-map variants; :mod:`repro.workloads.missions` runs complete
+node; :mod:`repro.workloads.navigation` assembles the with-map and
+without-map variants on one scaffold that differs only in its
+perception front-end; :mod:`repro.workloads.missions` runs complete
 missions and collects the metrics the evaluation figures plot.
 """
 
@@ -19,8 +19,7 @@ from repro.workloads.pipeline import (
     SlamNode,
     VelocityMuxNode,
 )
-from repro.workloads.navigation import NavigationWorkload, build_navigation
-from repro.workloads.exploration import ExplorationWorkload, build_exploration
+from repro.workloads.navigation import Workload, build_exploration, build_navigation
 from repro.workloads.missions import MissionResult, MissionRunner
 
 __all__ = [
@@ -34,9 +33,8 @@ __all__ = [
     "VelocityMuxNode",
     "SafetyNode",
     "ActuatorDriver",
-    "NavigationWorkload",
+    "Workload",
     "build_navigation",
-    "ExplorationWorkload",
     "build_exploration",
     "MissionRunner",
     "MissionResult",

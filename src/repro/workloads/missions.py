@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from repro.core.framework import OffloadingFramework
 from repro.middleware.messages import TwistMsg
 from repro.vehicle.power import PowerBudget
-from repro.workloads.exploration import ExplorationWorkload
-from repro.workloads.navigation import NavigationWorkload
+from repro.workloads.navigation import Workload
 
 
 @dataclass
@@ -61,7 +60,9 @@ class MissionRunner:
     Parameters
     ----------
     workload:
-        A :class:`NavigationWorkload` or :class:`ExplorationWorkload`.
+        A built :class:`~repro.workloads.navigation.Workload`; one with a
+        ``goal`` ends when it is reached, one without ends when the
+        area is explored.
     framework:
         Optional offloading framework (``None`` = everything local).
     physics_dt_s:
@@ -72,7 +73,7 @@ class MissionRunner:
 
     def __init__(
         self,
-        workload: NavigationWorkload | ExplorationWorkload,
+        workload: Workload,
         framework: OffloadingFramework | None = None,
         physics_dt_s: float = 0.05,
         timeout_s: float = 300.0,
@@ -166,7 +167,7 @@ class MissionRunner:
         w = self.workload
         if w.lgv.battery.depleted:
             return True, "battery_depleted"
-        if isinstance(w, NavigationWorkload):
+        if w.goal is not None:
             pt = w.nodes["path_tracking"]
             if getattr(pt, "goal_reached", False):
                 return True, "goal_reached"

@@ -123,12 +123,23 @@ class TestRequestTracer:
         obj = json.loads(json.dumps(tr.to_chrome()))
         assert validate_chrome_trace(obj) == []
 
+    def test_segment_is_recorded_once(self):
+        # the tree and the span tracer hold the same object, not a copy
+        tr = Tracer(clock=lambda: 0.0)
+        rt = RequestTracer(tracer=tr)
+        ctx = rt.start("tick", "r0", 0.0)
+        up = rt.segment(ctx, "uplink", 0.0, 0.05, bytes=512)
+        seg = rt.tree(ctx).segments[-1]
+        assert seg is tr.spans[-1]
+        assert seg.ctx == up and seg.ctx.parent_id == ctx.span_id
+        assert list(seg.args) == ["trace", "bytes"]
+
     def test_instant_is_zero_width(self):
         rt = RequestTracer()
         ctx = rt.start("tick", "r0", 0.0)
         rt.instant(ctx, "udp_dropped", 0.25, cause="fault")
         seg = rt.tree(ctx).segments[0]
-        assert seg.duration == 0.0 and seg.attrs["cause"] == "fault"
+        assert seg.duration == 0.0 and seg.args["cause"] == "fault"
 
 
 class TestP2Quantile:
@@ -466,7 +477,7 @@ class TestTickTracing:
             s
             for r in reqs
             for s in rt.tree(r.ctx).segments
-            if s.attrs.get("evicted")
+            if s.args.get("evicted")
         ]
         assert {s.name for s in evicted} == {"service", "queue_wait"}
         assert all(s.t_end == 0.01 for s in evicted)

@@ -237,12 +237,24 @@ class TestEventBus:
 
     def test_first_drop_hook_fires_exactly_once(self):
         fired = []
-        bus = EventBus(max_events=1, on_first_drop=lambda: fired.append(1))
+        bus = EventBus(max_events=1, on_first_drop=fired.append)
         bus.emit("x", 0.0)
         assert not fired
         bus.emit("x", 1.0)
         bus.emit("x", 2.0)
-        assert fired == [1]
+        assert fired == [1.0]  # the overflowing event's time
+
+    def test_overflow_marker_carries_the_event_time(self):
+        # regression: the marker read the tracer clock, which an unbound
+        # Telemetry (every serving run) leaves on time.perf_counter
+        tel = Telemetry()
+        tel.events.max_events = 2
+        for _ in range(3):
+            tel.emit("tick_done", t=5.0)
+        (marker,) = [s for s in tel.tracer.spans if s.name == "event_bus_overflow"]
+        assert (marker.t_start, marker.t_end) == (5.0, 5.0)
+        assert (marker.track, marker.cat, marker.kind) == ("events", "telemetry", "instant")
+        assert marker.args == {"max_events": 2}
 
     def test_overflow_surfaces_in_report_and_counter(self):
         # regression: events dropped past the retention cap used to

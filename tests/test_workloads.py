@@ -9,6 +9,66 @@ from repro.experiments._missions import (
     launch_exploration,
     launch_navigation,
 )
+from repro.workloads.navigation import build_exploration, build_navigation
+from repro.world.geometry import Pose2D
+from repro.world.maps import box_world
+
+
+def _pending(w):
+    """``(time, label)`` of every event the build queued, popped so that
+    no callback runs."""
+    out = []
+    while w.sim.queue:
+        ev = w.sim.queue.pop()
+        out.append((ev.time, ev.label))
+    return out
+
+
+class TestMissionBuild:
+    """Both missions share one scaffold; pin what each build leaves
+    behind (graph node order and queued events) at seed 0."""
+
+    def test_navigation(self):
+        goal = Pose2D(8, 8, 0)
+        w = build_navigation(box_world(10.0), Pose2D(2, 2, 0.7), goal, wap_xy=(2.0, 2.0), seed=0)
+        assert w.goal == goal
+        assert list(w.graph.nodes) == [
+            "sensor_driver",
+            "localization",
+            "costmap_gen",
+            "path_planning",
+            "path_tracking",
+            "safety",
+            "velocity_mux",
+            "actuator",
+        ]
+        assert _pending(w) == [
+            (0.001, "goal"),
+            (0.2, "sensor_driver:scan_timer"),
+            (0.5, "actuator:cmd_watchdog"),
+            (4.0, "path_planning:replan_timer"),
+        ]
+
+    def test_exploration(self):
+        w = build_exploration(box_world(8.0), Pose2D(2, 2, 0.5), wap_xy=(2.0, 2.0), seed=0)
+        assert w.goal is None
+        assert list(w.graph.nodes) == [
+            "sensor_driver",
+            "slam",
+            "costmap_gen",
+            "exploration",
+            "path_planning",
+            "path_tracking",
+            "safety",
+            "velocity_mux",
+            "actuator",
+        ]
+        assert _pending(w) == [
+            (0.2, "sensor_driver:scan_timer"),
+            (0.5, "actuator:cmd_watchdog"),
+            (3.0, "exploration:explore_timer"),
+            (4.0, "path_planning:replan_timer"),
+        ]
 
 
 @pytest.fixture(scope="module")
