@@ -3,10 +3,10 @@
 The fleet-scale shape the paper's §VIII-E points at: many LGVs
 streaming ECN/VDP ticks into a shared :class:`WorkerPool` behind a
 :class:`LoadBalancer`, served under a pluggable per-worker
-:class:`Scheduler` (FIFO / EDF / processor sharing), guarded by an
-Eq. 2c-driven :class:`AdmissionController` and grown/shrunk by a
-reactive :class:`Autoscaler`. See ``docs/cloud.md`` and
-``python -m repro fleet``.
+:class:`Scheduler` (FIFO / EDF / processor sharing) and guarded by an
+Eq. 2c-driven :class:`AdmissionController`. Pool membership is fixed at
+construction; only crash/restore faults take a worker out of service
+and bring it back. See ``docs/cloud.md`` and ``python -m repro fleet``.
 """
 
 from repro.cloud.admission import (
@@ -14,7 +14,6 @@ from repro.cloud.admission import (
     AdmissionDecision,
     TenantSpec,
 )
-from repro.cloud.autoscaler import Autoscaler
 from repro.cloud.batching import BatchKey, BatchPolicy, batch_key
 from repro.cloud.balancer import (
     BALANCER_NAMES,
@@ -40,7 +39,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AffinityBalancer",
-    "Autoscaler",
     "BALANCER_NAMES",
     "BatchKey",
     "BatchPolicy",

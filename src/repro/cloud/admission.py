@@ -24,7 +24,6 @@ from repro.control.velocity_law import max_velocity_oa
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cloud.pool import WorkerPool
     from repro.telemetry import Telemetry
-    from repro.telemetry.events import TelemetryEvent
 
 
 @dataclass(frozen=True)
@@ -184,43 +183,6 @@ class AdmissionController:
     def release(self, name: str) -> None:
         """A tenant left the pool; its demand stops counting."""
         self.admitted.pop(name, None)
-
-    # ------------------------------------------------------------------
-    # SLO feedback (repro.obs)
-    # ------------------------------------------------------------------
-    #: Multiplicative headroom cut applied per SLO breach, and the
-    #: floor it never tightens past (some admission must stay possible).
-    slo_tighten_factor: float = 0.9
-    min_utilization_guard: float = 0.3
-
-    def watch_slo(self) -> bool:
-        """Tighten admission headroom on ``slo_breach`` events.
-
-        The fluid projection underestimating contention is exactly what
-        a burn-rate breach evidences, so each breach multiplies
-        ``max_utilization`` by :attr:`slo_tighten_factor` (down to
-        :attr:`min_utilization_guard`) — future candidates face a
-        stricter gate while current tenants keep their grants. Returns
-        ``False`` when the run carries no telemetry to subscribe on.
-        """
-        if self.telemetry is None:
-            return False
-        self.telemetry.events.on("slo_breach", self._on_slo_breach)
-        return True
-
-    def _on_slo_breach(self, ev: "TelemetryEvent") -> None:
-        before = self.max_utilization
-        self.max_utilization = max(
-            self.min_utilization_guard, self.max_utilization * self.slo_tighten_factor
-        )
-        if self.max_utilization < before and self.telemetry is not None:
-            self.telemetry.emit(
-                "admission_tightened",
-                t=self.pool.sim.now(),
-                track="cloud",
-                tenant=ev.get("tenant"),
-                max_utilization=self.max_utilization,
-            )
 
     def _width_ladder(self, requested: int) -> list[int]:
         """Requested width, then halvings down to 1 (the downgrades)."""

@@ -6,7 +6,9 @@ A :class:`WorkerPool` owns one :class:`PoolWorker` per server
 :class:`~repro.cloud.balancer.LoadBalancer`, and survives worker
 crashes by re-placing every request the dead worker was holding
 (active, queued and staged) on the survivors — the rebalance path
-:mod:`repro.faults` drives through ``ServerCrash`` faults.
+:mod:`repro.faults` drives through ``ServerCrash`` faults. The worker
+set is fixed when the pool is built: a crashed worker stays a member
+and serves again once its host restarts.
 
 Each worker serves under the discipline of its
 :class:`~repro.cloud.scheduler.Scheduler`: queueing (FIFO / EDF,
@@ -23,8 +25,8 @@ Two opt-in extensions ride on the same worker machinery, both inert
 * **fluid background load** (:mod:`repro.hybrid`) — a calibrated
   analytical tenant population imposes continuous core demand on the
   workers, stretching service (PS rate / queueing durations) and
-  driving the pool's utilization, admission and autoscaling signals
-  without per-tenant DES events.
+  driving the pool's utilization and admission signals without
+  per-tenant DES events.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ class PoolWorker:
         Exceeds 1.0 when overcommitted — under processor sharing that
         is exactly the analytical model's utilization > 1 regime. The
         fluid background's continuous demand counts here so balancers
-        and the autoscaler see the hybrid population.
+        see the hybrid population.
         """
         demand = self._active_width + self._queued_width + self.background_load
         return demand / self.capacity
@@ -322,7 +324,7 @@ class PoolWorker:
         )
 
     def evict_all(self) -> list[tuple[TickRequest, CompletionFn]]:
-        """Cancel everything (crash/retire); returns requests to re-place.
+        """Cancel everything (crash); returns requests to re-place.
 
         Active requests lose their progress — the replacement worker
         starts them from scratch, which is what a stateless tick
@@ -538,7 +540,7 @@ class WorkerPool:
     sim:
         The simulator all serving events run on.
     hosts:
-        Initial server hosts (one worker each).
+        Server hosts (one worker each).
     scheduler:
         Per-worker discipline, shared policy object across workers for
         round-robin state-free policies (FIFO/EDF/PS are stateless).
@@ -562,10 +564,8 @@ class WorkerPool:
         batching: BatchPolicy | None = None,
     ) -> None:
         self.sim = sim
-        self.scheduler = scheduler
         self.balancer = balancer
         self.telemetry = telemetry
-        self.batching = batching
         self.workers: list[PoolWorker] = []
         #: Requests parked while no worker was up, re-placed on recovery.
         self._stranded: list[tuple[TickRequest, CompletionFn]] = []
@@ -603,45 +603,17 @@ class WorkerPool:
                 ),
             )
         for h in hosts:
-            self.add_worker(h)
+            self.workers.append(
+                PoolWorker(sim, h, scheduler, telemetry, batching)
+            )
+            self._emit("pool_worker_added", worker=h.name)
         if not self.workers:
             raise ValueError("a WorkerPool needs at least one host")
-
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-    def add_worker(self, host: Host) -> PoolWorker:
-        """Join a new serving host (autoscaler scale-up path)."""
-        w = PoolWorker(
-            self.sim, host, self.scheduler, self.telemetry, self.batching
-        )
-        self.workers.append(w)
-        self._emit("pool_worker_added", worker=host.name)
-        self._spread_background()
-        self._sample_gauges()
-        # A stranded backlog drains onto the first worker that appears.
-        self._replay_stranded()
-        return w
-
-    def remove_worker(self, name: str) -> None:
-        """Retire a worker (scale-down); its requests are re-placed."""
-        w = self._worker(name)
-        victims = w.evict_all()
-        self.workers.remove(w)
-        self._emit("pool_worker_removed", worker=name, replaced=len(victims))
-        self._spread_background()
-        self._replace(victims, crashed=name)
         self._sample_gauges()
 
     def worker_hosts(self) -> tuple[Host, ...]:
-        """Hosts currently in the pool (fault-injection targets)."""
+        """Hosts in the pool (fault-injection targets)."""
         return tuple(w.host for w in self.workers)
-
-    def _worker(self, name: str) -> PoolWorker:
-        for w in self.workers:
-            if w.host.name == name:
-                return w
-        raise KeyError(f"no pool worker named {name!r}")
 
     # ------------------------------------------------------------------
     # Fluid background (repro.hybrid)

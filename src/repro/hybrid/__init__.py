@@ -2,8 +2,8 @@
 
 K focal tenants run in full DES through :mod:`repro.cloud` while the
 other N−K tenants impose load as calibrated fluid demand
-(:class:`FluidBackground`), so admission, autoscaling and balancing
-can be exercised at N=10^5–10^6 tenants. See ``docs/hybrid.md`` and
+(:class:`FluidBackground`), so admission and balancing can be
+exercised at N=10^5–10^6 tenants. See ``docs/hybrid.md`` and
 ``python -m repro fleet --hybrid``.
 """
 

@@ -8,8 +8,8 @@ per-tenant DES events. The demand is imposed on the
 :class:`~repro.cloud.pool.WorkerPool` (stretching focal service per
 the processor-sharing fluid limit) and on the
 :class:`~repro.cloud.admission.AdmissionController` (counted in every
-projection), so utilization, admission and autoscaling signals all see
-the full fleet at the cost of O(1) state.
+projection), so utilization and admission signals all see the full
+fleet at the cost of O(1) state.
 
 **Calibration loop.** The fluid rate is only as good as its ``t_iso``.
 A periodic process compares the pool's *observed* contention-free
@@ -87,8 +87,8 @@ class FluidBackground:
         allowed). ``pool`` must be ``pools[0]`` — it stays the
         reference for admission width and fluid projections. With one
         pool (or ``pools`` omitted) every code path is identical to
-        the single-pool build. Capacity changes (a site outage, an
-        autoscaler step) re-split on the next re-calibration tick, or
+        the single-pool build. Capacity changes (a site outage or
+        restore) re-split on the next re-calibration tick, or
         immediately via :meth:`rebalance`.
     """
 

@@ -20,9 +20,9 @@ budget burning":
   overhaul.
 * :class:`SloMonitor` — streaming P² quantile estimators (no sample
   retention) plus per-tenant deadline-miss burn-rate windows; breaches
-  emit typed ``slo_breach`` events on the telemetry
-  :class:`~repro.telemetry.events.EventBus` that the admission
-  controller and the autoscaler subscribe to.
+  are recorded as typed ``slo_breach`` events on the telemetry
+  :class:`~repro.telemetry.events.EventBus`. Nothing reacts to them:
+  observability never steers a run.
 
 Everything here follows the PR 1 nullable contract: hooks cost one
 ``is None`` test when disabled, and a disabled run is byte-identical

@@ -11,11 +11,12 @@ tenant:
   sliding window, held as ~10 coarse time buckets (O(1) memory again).
 
 When a tenant's burn rate crosses the policy threshold the monitor
-emits a typed ``slo_breach`` event on the telemetry
+records a typed ``slo_breach`` event on the telemetry
 :class:`~repro.telemetry.events.EventBus` (and ``slo_recovered`` when
-it re-arms), which :meth:`repro.cloud.Autoscaler.watch_slo` and
-:meth:`repro.cloud.AdmissionController.watch_slo` subscribe to — the
-serving layer reacts to the same signal an operator's pager would.
+it re-arms) and appends it to :attr:`SloMonitor.breaches`. Breaches are
+a record for the report, not a signal: nothing in the serving layer
+reacts to them, so a monitored run computes what an unmonitored one
+does.
 """
 
 from __future__ import annotations

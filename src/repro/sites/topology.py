@@ -4,9 +4,8 @@ wired metro backhaul between them.
 An :class:`EdgeSite` bundles everything one serving location owns: its
 WAPs (and therefore its radio propagation footprint), a gateway host
 that terminates the site's control plane, a :class:`~repro.cloud.pool.
-WorkerPool` of serving VMs, the site's own Eq. 2c
-:class:`~repro.cloud.admission.AdmissionController`, and optionally a
-per-site :class:`~repro.cloud.autoscaler.Autoscaler`. A
+WorkerPool` of serving VMs and the site's own Eq. 2c
+:class:`~repro.cloud.admission.AdmissionController`. A
 :class:`SiteTopology` is the city: the registry the selector and the
 handoff machinery query for coverage and health.
 
@@ -36,7 +35,6 @@ from repro.network.signal import PathLossModel, WapSite
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cloud.autoscaler import Autoscaler
     from repro.cloud.batching import BatchPolicy
     from repro.telemetry import Telemetry
 
@@ -135,9 +133,6 @@ class EdgeSite:
         self.controller = AdmissionController(
             self.pool, network_latency_s=wired_latency_s, telemetry=telemetry
         )
-        #: Optional per-site autoscaler; attach one with
-        #: :meth:`attach_autoscaler` (None costs nothing).
-        self.autoscaler: "Autoscaler | None" = None
 
     # ------------------------------------------------------------------
     # Geometry / health
@@ -154,11 +149,6 @@ class EdgeSite:
     def up(self) -> bool:
         """Site health: gateway reachable and at least one worker live."""
         return self.gateway.up and self.pool.has_live_workers()
-
-    def attach_autoscaler(self, scaler: "Autoscaler") -> "Autoscaler":
-        """Install a per-site autoscaler (caller builds and starts it)."""
-        self.autoscaler = scaler
-        return scaler
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

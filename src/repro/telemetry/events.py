@@ -3,10 +3,12 @@
 Discrete observations that are neither spans nor metric samples — a
 migration with its reason, a VDP makespan sample, an Algorithm 1/2
 decision — flow through one :class:`EventBus`. Components *emit*;
-anything (the trace exporter, an experiment, a test) can *subscribe*
-or query the retained log afterwards. This replaces the scattered
-private lists (``Graph.migrations``-style bookkeeping) with a single
-schema: ``(t, kind, fields)``.
+the trace exporter, an experiment or a test queries the retained log
+afterwards. The bus is a passive record: nothing reacts to an event
+while the run is going, so recording one never changes what a run
+computes. This replaces the scattered private lists
+(``Graph.migrations``-style bookkeeping) with a single schema:
+``(t, kind, fields)``.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ class TelemetryEvent:
 
 
 class EventBus:
-    """Retains events and fans them out to subscribers.
+    """Retains emitted events, in emission order.
 
     Parameters
     ----------
     max_events:
-        Retention cap; past it new events still reach subscribers but
-        are no longer kept in :attr:`events` (``dropped`` counts them).
+        Retention cap; past it new events are no longer kept in
+        :attr:`events` (``dropped`` counts them).
     on_first_drop:
         Called exactly once, with the overflowing event's time, when
         the cap is first exceeded — the
@@ -54,10 +56,9 @@ class EventBus:
         self.events: list[TelemetryEvent] = []
         self.dropped = 0
         self.on_first_drop = on_first_drop
-        self._subscribers: dict[str, list[Callable[[TelemetryEvent], None]]] = {}
 
     def emit(self, kind: str, t: float, /, **fields: Any) -> TelemetryEvent:
-        """Record one event and notify subscribers of ``kind`` and ``"*"``."""
+        """Record one event."""
         ev = TelemetryEvent(t=t, kind=kind, fields=fields)
         if len(self.events) < self.max_events:
             self.events.append(ev)
@@ -65,15 +66,7 @@ class EventBus:
             self.dropped += 1
             if self.dropped == 1 and self.on_first_drop is not None:
                 self.on_first_drop(t)
-        for fn in self._subscribers.get(kind, ()):
-            fn(ev)
-        for fn in self._subscribers.get("*", ()):
-            fn(ev)
         return ev
-
-    def on(self, kind: str, fn: Callable[[TelemetryEvent], None]) -> None:
-        """Subscribe ``fn`` to events of ``kind`` (``"*"`` = everything)."""
-        self._subscribers.setdefault(kind, []).append(fn)
 
     def select(self, kind: str) -> list[TelemetryEvent]:
         """Retained events of one kind, in emission order."""

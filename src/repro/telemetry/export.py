@@ -128,7 +128,7 @@ def summary_tables(telemetry: Telemetry) -> list[Table]:
             len(telemetry.events), telemetry.events.dropped, telemetry.events.max_events
         )
         t.note = (
-            "events past the cap reached subscribers but were not retained; "
+            "events past the cap were not retained; "
             "kind counts below undercount the run"
         )
         tables.append(t)

@@ -142,10 +142,10 @@ def instrument_pool(
     The pool already publishes its per-worker
     ``cloud_pool_queue_depth`` / ``cloud_pool_utilization`` gauges on
     every submit/complete when built with a telemetry object; this
-    flusher adds the *time-driven* samples an autoscaler (or a
-    dashboard) wants between requests — a worker whose tenants all
-    went quiet still reports its idleness — plus the host-occupancy
-    view (``cloud_host_occupancy``: time-averaged claimed threads).
+    flusher adds the *time-driven* samples a dashboard wants between
+    requests — a worker whose tenants all went quiet still reports its
+    idleness — plus the host-occupancy view (``cloud_host_occupancy``:
+    time-averaged claimed threads).
     """
     occ = telemetry.metrics.gauge(
         "cloud_host_occupancy", "time-averaged claimed threads per pool host"

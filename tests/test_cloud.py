@@ -1,5 +1,5 @@
-"""Tests for repro.cloud: pool, schedulers, balancers, admission,
-autoscaler — plus the DES <-> analytical cross-validation against
+"""Tests for repro.cloud: pool, schedulers, balancers, admission —
+plus the DES <-> analytical cross-validation against
 repro.cloud.fleet and the fig13-path identity check."""
 
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.cloud import (
     AdmissionController,
     AffinityBalancer,
-    Autoscaler,
     BatchPolicy,
     LeastLoadedBalancer,
     RobotTenant,
@@ -455,16 +454,6 @@ class TestWorkerPool:
         sim.run(until=10.0)
         assert len(done) == 1
 
-    def test_remove_worker_replaces_requests(self):
-        sim = Simulator()
-        pool = make_pool(sim, n_workers=2, balancer="round-robin")
-        done = []
-        pool.submit(req(tenant="a", threads=8), lambda r, t: done.append(r.tenant))
-        pool.remove_worker("cloud-vm0")
-        assert len(pool.workers) == 1
-        sim.run(until=10.0)
-        assert done == ["a"]
-
     def test_select_host_least_loaded(self):
         sim = Simulator()
         pool = make_pool(sim, n_workers=2)
@@ -483,6 +472,18 @@ class TestWorkerPool:
             WorkerPool(
                 Simulator(), [], make_scheduler("fifo"), make_balancer("round-robin")
             )
+
+    def test_construction_announces_each_host_once(self):
+        sim = Simulator()
+        tel = Telemetry()
+        make_pool(sim, n_workers=3, telemetry=tel)
+        names = ["cloud-vm0", "cloud-vm1", "cloud-vm2"]
+        assert [(ev.t, ev.kind, ev.get("worker")) for ev in tel.events.events] == [
+            (0.0, "pool_worker_added", name) for name in names
+        ]
+        assert tel.metrics.get("cloud_pool_workers").value() == 3
+        util = tel.metrics.get("cloud_pool_utilization")
+        assert util.label_sets() == [f"worker={name}" for name in names]
 
     def test_telemetry_labels_per_tenant(self):
         sim = Simulator()
@@ -660,66 +661,6 @@ class TestAdmissionController:
         r = ac.build_request(name, seq=1, now=2.0)
         assert r.threads == downgraded[0].threads < 8
         assert r.issued_at == 2.0
-
-
-class TestAutoscaler:
-    def _run_scaling(self):
-        sim = Simulator()
-        tel = Telemetry()
-        pool = make_pool(sim, n_workers=1, telemetry=tel)
-        scaler = Autoscaler(
-            sim,
-            pool,
-            host_factory=lambda i: Host(f"scale{i}", EDGE_GATEWAY),
-            min_workers=1,
-            max_workers=3,
-            period_s=0.5,
-            cooldown_s=2.0,
-            startup_delay_s=1.0,
-            telemetry=tel,
-        )
-        scaler.start()
-        # overload: full-width requests at 50 Hz vs ~30 ms service
-        feeder = sim.every(
-            0.02,
-            lambda: pool.submit(
-                req(seq=pool.submitted, threads=8, issued=sim.now()),
-                lambda r, t: None,
-            ),
-            label="feeder",
-        )
-        sim.schedule_at(6.0, feeder.stop)
-        sim.run(until=40.0)
-        return pool, scaler
-
-    def test_scales_up_under_load_then_back_down(self):
-        pool, scaler = self._run_scaling()
-        kinds = [a for _, a, _ in scaler.actions]
-        assert "up" in kinds  # queue growth triggered growth
-        assert "down" in kinds  # idle pool shed the extra workers
-        assert len(pool.workers) == 1  # back at min when the load is gone
-        assert pool.completed == pool.submitted  # nothing lost in the churn
-
-    def test_scale_down_replaces_inflight_requests(self):
-        sim = Simulator()
-        pool = make_pool(sim, n_workers=1)
-        scaler = Autoscaler(
-            sim, pool, host_factory=lambda i: Host(f"scale{i}", EDGE_GATEWAY),
-            min_workers=1, max_workers=2,
-        )
-        extra = pool.add_worker(Host("scale0", EDGE_GATEWAY))
-        scaler._scaled_up.append("scale0")
-        done = []
-        extra.submit(req(threads=8), lambda r, t: done.append(r))
-        scaler._scale_down(sim.now())
-        sim.run(until=10.0)
-        assert len(done) == 1 and done[0].rebalances == 1
-
-    def test_bounds_validated(self):
-        sim = Simulator()
-        pool = make_pool(sim)
-        with pytest.raises(ValueError):
-            Autoscaler(sim, pool, host_factory=lambda i: None, min_workers=0)
 
 
 class TestFleetCrossValidation:

@@ -6,8 +6,6 @@ import math
 import pytest
 
 from repro.cloud import (
-    AdmissionController,
-    Autoscaler,
     RobotTenant,
     TenantSpec,
     TickRequest,
@@ -552,65 +550,6 @@ class TestVdpTickTracing:
         assert "vdp_tick" in report
 
 
-class TestWatchSlo:
-    def _breach(self, tel, t=1.0):
-        tel.emit("slo_breach", t=t, track="slo", tenant="r0", burn_rate=0.5)
-
-    def test_autoscaler_scales_up_on_breach(self):
-        sim = Simulator()
-        tel = Telemetry(clock=sim.now)
-        pool = make_pool(sim, n_workers=1, telemetry=tel)
-        scaler = Autoscaler(
-            sim, pool, host_factory=lambda i: Host(f"scale{i}", EDGE_GATEWAY),
-            min_workers=1, max_workers=3, cooldown_s=0.5, startup_delay_s=0.1,
-            telemetry=tel,
-        )
-        assert scaler.watch_slo() is True
-        sim.schedule_at(1.0, lambda: self._breach(tel, 1.0))
-        sim.run(until=5.0)
-        assert len(pool.workers) == 2
-        assert tel.events.select("autoscale_slo_trigger")
-
-    def test_autoscaler_respects_cooldown_and_cap(self):
-        sim = Simulator()
-        tel = Telemetry(clock=sim.now)
-        pool = make_pool(sim, n_workers=1, telemetry=tel)
-        scaler = Autoscaler(
-            sim, pool, host_factory=lambda i: Host(f"scale{i}", EDGE_GATEWAY),
-            min_workers=1, max_workers=2, cooldown_s=100.0, startup_delay_s=0.1,
-            telemetry=tel,
-        )
-        scaler.watch_slo()
-        sim.schedule_at(1.0, lambda: self._breach(tel, 1.0))
-        sim.schedule_at(2.0, lambda: self._breach(tel, 2.0))  # inside cooldown
-        sim.run(until=5.0)
-        assert len(pool.workers) == 2  # second breach did not add a third
-
-    def test_admission_tightens_with_floor(self):
-        sim = Simulator()
-        tel = Telemetry(clock=sim.now)
-        pool = make_pool(sim, n_workers=1, telemetry=tel)
-        ac = AdmissionController(pool, telemetry=tel)
-        assert ac.watch_slo() is True
-        before = ac.max_utilization
-        self._breach(tel)
-        assert ac.max_utilization == pytest.approx(before * ac.slo_tighten_factor)
-        assert tel.events.select("admission_tightened")
-        for _ in range(100):
-            self._breach(tel)
-        assert ac.max_utilization == pytest.approx(ac.min_utilization_guard)
-
-    def test_watch_slo_without_telemetry_is_a_noop(self):
-        sim = Simulator()
-        pool = make_pool(sim, n_workers=1)
-        assert AdmissionController(pool).watch_slo() is False
-        scaler = Autoscaler(
-            sim, pool, host_factory=lambda i: Host(f"s{i}", EDGE_GATEWAY),
-            min_workers=1, max_workers=2,
-        )
-        assert scaler.watch_slo() is False
-
-
 class TestDisabledObsIsInert:
     def test_plain_telemetry_has_no_obs_handles(self):
         tel = Telemetry()
@@ -628,3 +567,52 @@ class TestDisabledObsIsInert:
         tel.requests.segment(ctx, "service", 0.0, 0.3)
         tel.requests.finish(ctx, 0.3)
         assert "request traces: 1 (1 finished, 1 deadline misses)" in tel.summary()
+
+
+class TestObservabilityNeverSteers:
+    """Recording a run never changes what it computes: each serving
+    builder returns the same result with telemetry, request traces and
+    SLO monitoring on as with no telemetry at all."""
+
+    def test_traced_serving_equals_untraced(self):
+        from dataclasses import asdict
+
+        from repro.compute.platform import TURTLEBOT3_PI
+        from repro.experiments.fleet_scale import serve_fleet_point
+        from repro.experiments.geo import run_geo
+        from repro.hybrid.experiment import _jsonable, serve_hybrid_point
+
+        cycles = 1.4e9
+        # tick rate, cycles, threads, local tick time, wired latency,
+        # seed, radio on: the serving inputs of the bench's serve cells
+        serving = (5.0, cycles, 8, cycles / TURTLEBOT3_PI.effective_hz, 0.02, 0, True)
+
+        def fleet(admission):
+            return lambda tel: _jsonable(asdict(serve_fleet_point(
+                24, 2, "edf", "least-loaded", admission, 6.0, *serving, tel
+            )))
+
+        def hybrid(tel):
+            return _jsonable(asdict(serve_hybrid_point(
+                10_000, 8, 2, "ps", "least-loaded", True, 6.0, *serving, tel
+            )))
+
+        def geo(tel):
+            return run_geo(
+                cells=("site_outage",), sim_time_s=30.0, telemetry=tel
+            ).to_json()
+
+        breaches = 0
+        for name, run in (
+            ("fleet, admission on", fleet(True)),
+            ("fleet, admission off", fleet(False)),
+            ("hybrid", hybrid),
+            ("geo site outage", geo),
+        ):
+            tel = Telemetry()
+            tel.enable_obs()
+            tel.enable_slo()
+            assert run(tel) == run(None), name
+            assert tel.requests.finished(), f"{name}: no request trace recorded"
+            breaches += len(tel.slo.breaches)
+        assert breaches, "no run breached its SLO, so none could have reacted"

@@ -219,15 +219,6 @@ class TestEventBus:
         assert [e.get("node") for e in bus.select("migration")] == ["slam", "dwa"]
         assert bus.kinds() == {"migration": 2, "adjust": 1}
 
-    def test_subscribers(self):
-        bus = EventBus()
-        seen, wild = [], []
-        bus.on("a", seen.append)
-        bus.on("*", wild.append)
-        bus.emit("a", 0.0)
-        bus.emit("b", 1.0)
-        assert len(seen) == 1 and len(wild) == 2
-
     def test_retention_cap(self):
         bus = EventBus(max_events=2)
         for i in range(4):
