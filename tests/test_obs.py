@@ -574,18 +574,23 @@ class TestObservabilityNeverSteers:
     builder returns the same result with telemetry, request traces and
     SLO monitoring on as with no telemetry at all."""
 
-    def test_traced_serving_equals_untraced(self):
-        from dataclasses import asdict
-
+    @staticmethod
+    def _serving():
         from repro.compute.platform import TURTLEBOT3_PI
-        from repro.experiments.fleet_scale import serve_fleet_point
-        from repro.experiments.geo import run_geo
-        from repro.hybrid.experiment import _jsonable, serve_hybrid_point
 
         cycles = 1.4e9
         # tick rate, cycles, threads, local tick time, wired latency,
         # seed, radio on: the serving inputs of the bench's serve cells
-        serving = (5.0, cycles, 8, cycles / TURTLEBOT3_PI.effective_hz, 0.02, 0, True)
+        return (5.0, cycles, 8, cycles / TURTLEBOT3_PI.effective_hz, 0.02, 0, True)
+
+    def test_traced_serving_equals_untraced(self):
+        from dataclasses import asdict
+
+        from repro.experiments.fleet_scale import serve_fleet_point
+        from repro.experiments.geo import run_geo
+        from repro.hybrid.experiment import _jsonable, serve_hybrid_point
+
+        serving = self._serving()
 
         def fleet(admission):
             return lambda tel: _jsonable(asdict(serve_fleet_point(
@@ -616,3 +621,48 @@ class TestObservabilityNeverSteers:
             assert tel.requests.finished(), f"{name}: no request trace recorded"
             breaches += len(tel.slo.breaches)
         assert breaches, "no run breached its SLO, so none could have reacted"
+
+    def test_admit_all_fleet_breach_record_is_pinned(self):
+        """Every breach of the traced admit-all fleet cell, as
+        ``(t, tenant, kind, burn_rate, p95_s)`` with floats in
+        ``float.hex``: the one SLO output that reaches an artifact
+        (the ``slo_breach`` instants of the trace)."""
+        from repro.experiments.fleet_scale import serve_fleet_point
+
+        tel = Telemetry()
+        tel.enable_obs()
+        tel.enable_slo()
+        serve_fleet_point(
+            24, 2, "edf", "least-loaded", False, 6.0, *self._serving(), tel
+        )
+        got = [
+            (b.t.hex(), b.tenant, b.kind, b.burn_rate.hex(), b.p95_s.hex())
+            for b in tel.slo.breaches
+        ]
+        b70, b65, b75 = "0x1.6666666666666p-1", "0x1.4cccccccccccdp-1", "0x1.8000000000000p-1"
+        assert got == [
+            ("0x1.0c166ef894c14p+2", "robot00", "slo_breach", b70, "0x1.74e84bb84d7c3p-2"),
+            ("0x1.0d2c0e6d40735p+2", "robot02", "slo_breach", b65, "0x1.7131c399970ddp-2"),
+            ("0x1.0dba32cb516f2p+2", "robot01", "slo_breach", b70, "0x1.6602afffda55ep-2"),
+            ("0x1.0e9229bf9738fp+2", "robot04", "slo_breach", b65, "0x1.714c109cf06fep-2"),
+            ("0x1.0e9c2510a118ep+2", "robot03", "slo_breach", b70, "0x1.6676d4ee63fe9p-2"),
+            ("0x1.0f780a86531e6p+2", "robot05", "slo_breach", b70, "0x1.66f431fabd92cp-2"),
+            ("0x1.0fbfac91595cbp+2", "robot06", "slo_breach", b70, "0x1.781112b6af63bp-2"),
+            ("0x1.10a88d725ddf8p+2", "robot08", "slo_breach", b70, "0x1.73f9e0c0f67c4p-2"),
+            ("0x1.1143eca4d9369p+2", "robot07", "slo_breach", b70, "0x1.6be5004590a8bp-2"),
+            ("0x1.120e000255c98p+2", "robot10", "slo_breach", b70, "0x1.73788ce6aadf4p-2"),
+            ("0x1.1213318b802e9p+2", "robot09", "slo_breach", b70, "0x1.6b7a07e6f3094p-2"),
+            ("0x1.12fe058398197p+2", "robot11", "slo_breach", b75, "0x1.6c1aa933b31a5p-2"),
+            ("0x1.132899ceb6e66p+2", "robot12", "slo_breach", b70, "0x1.797fb6af27a58p-2"),
+            ("0x1.141bd2a018844p+2", "robot13", "slo_breach", b70, "0x1.70b5c72e97613p-2"),
+            ("0x1.15701ff499a19p+2", "robot15", "slo_breach", b70, "0x1.71cc6af36a6afp-2"),
+            ("0x1.158dd364083d9p+2", "robot16", "slo_breach", b70, "0x1.743b6daf571b2p-2"),
+            ("0x1.1661c7ca6402dp+2", "robot18", "slo_breach", b70, "0x1.7a0c8daf1f25ep-2"),
+            ("0x1.17d7fb6edfc89p+2", "robot20", "slo_breach", b70, "0x1.791289fa5fa75p-2"),
+            ("0x1.18213ef69a338p+2", "robot19", "slo_breach", b75, "0x1.754f9109931a7p-2"),
+            ("0x1.18f4c2c83803bp+2", "robot22", "slo_breach", b70, "0x1.7872ec677dfd1p-2"),
+            ("0x1.19210c7d45a39p+2", "robot21", "slo_breach", b75, "0x1.73cf7837de695p-2"),
+            ("0x1.1a0a8af607d81p+2", "robot23", "slo_breach", b75, "0x1.72ad2ce4982d1p-2"),
+            ("0x1.2287d5a05c4c3p+2", "robot14", "slo_breach", b70, "0x1.7ae28b670c7afp-2"),
+            ("0x1.2435e4fd406acp+2", "robot17", "slo_breach", b75, "0x1.81beb191e3a14p-2"),
+        ]
