@@ -17,7 +17,6 @@ from repro.telemetry.instrument import (
     GraphInstruments,
     instrument_graph,
     instrument_hosts,
-    instrument_pool,
     instrument_simulator,
     instrument_workload,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "Tracer",
     "instrument_graph",
     "instrument_hosts",
-    "instrument_pool",
     "instrument_simulator",
     "instrument_workload",
     "render_report",

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 from repro.telemetry.hub import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cloud.pool import WorkerPool
     from repro.compute.host import Host
     from repro.middleware.graph import Graph
     from repro.recovery.manager import RecoveryManager
@@ -128,37 +127,6 @@ def instrument_hosts(
 
     flush()  # gauges exist (at zero) even if the run ends before one period
     flusher = sim.every(period_s, flush, label="telemetry:flush")
-    telemetry.register_flusher(flusher)
-    return flusher
-
-
-def instrument_pool(
-    telemetry: Telemetry,
-    pool: WorkerPool,
-    period_s: float = 0.5,
-) -> Process:
-    """Periodic sampler for a :class:`repro.cloud.WorkerPool`.
-
-    The pool already publishes its per-worker
-    ``cloud_pool_queue_depth`` / ``cloud_pool_utilization`` gauges on
-    every submit/complete when built with a telemetry object; this
-    flusher adds the *time-driven* samples a dashboard wants between
-    requests — a worker whose tenants all went quiet still reports its
-    idleness — plus the host-occupancy view (``cloud_host_occupancy``:
-    time-averaged claimed threads).
-    """
-    occ = telemetry.metrics.gauge(
-        "cloud_host_occupancy", "time-averaged claimed threads per pool host"
-    )
-
-    def flush() -> None:
-        now = pool.sim.now()
-        pool._sample_gauges()
-        for w in pool.workers:
-            occ.set(w.host.mean_occupancy(now), worker=w.host.name)
-
-    flush()
-    flusher = pool.sim.every(period_s, flush, label="telemetry:pool")
     telemetry.register_flusher(flusher)
     return flusher
 

@@ -378,18 +378,6 @@ class TestInstrumentHelpers:
             host="gw", kind="idle"
         ) > 0
 
-    def test_instrument_pool_samples_occupancy(self):
-        from repro.telemetry.instrument import instrument_pool
-
-        sim = Simulator()
-        tel = Telemetry(clock=sim.now)
-        pool = self._pool(sim, telemetry=tel)
-        instrument_pool(tel, pool)
-        sim.run(until=1.5)
-        tel.flush_now()
-        occ = tel.metrics.get("cloud_host_occupancy")
-        assert occ is not None and "worker=cloud-vm0" in occ.label_sets()
-
     def test_pool_without_telemetry_runs_clean(self):
         from repro.cloud import TickRequest
 
