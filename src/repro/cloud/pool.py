@@ -340,7 +340,7 @@ class PoolWorker:
             if j.event is not None:
                 self.sim.cancel(j.event)
                 j.event = None
-            self.host.vacate(j.width, now)
+            self.host.vacate(j.width)
             for m in j.members:
                 victims.append((m.req, m.on_complete))
                 # Close the partial service segment at crash time so the
@@ -408,7 +408,7 @@ class PoolWorker:
         # duration is exactly the isolated one.
         stretch = self._stretch(self._active_width + job.width)
         duration = job.iso_s * stretch if stretch > 1.0 else job.iso_s
-        self._occupy(job, now)
+        self._occupy(job)
         head = job.members[0].req
         label_key = head.tenant if size == 1 else f"batch{size}"
         job.event = self.sim.schedule_after(
@@ -420,23 +420,23 @@ class PoolWorker:
     def _finish(self, job: _Job) -> None:
         now = self.sim.now()
         job.event = None
-        self._vacate(job, now)
+        self._vacate(job)
         self._complete_members(job, now, shared=False)
         self._dispatch()
 
-    def _occupy(self, job: _Job, now: float) -> None:
+    def _occupy(self, job: _Job) -> None:
         """Run ``job``: claim its cores and count it active."""
-        self.host.occupy(job.width, now)
+        self.host.occupy(job.width)
         self._active[job] = None
         self._active_width += job.width
         self._active_size += job.size
 
-    def _vacate(self, job: _Job, now: float) -> None:
+    def _vacate(self, job: _Job) -> None:
         """Stop ``job``: uncount it and give its cores back."""
         del self._active[job]
         self._active_width -= job.width
         self._active_size -= job.size
-        self.host.vacate(job.width, now)
+        self.host.vacate(job.width)
 
     def _complete_members(self, job: _Job, now: float, shared: bool) -> None:
         """Account, trace and call back every member of a finished job.
@@ -499,7 +499,7 @@ class PoolWorker:
             )
         job.iso_s = self._iso_duration(job)
         job.remaining_s = job.iso_s
-        self._occupy(job, now)
+        self._occupy(job)
         self._ps_reschedule(now)
 
     def _ps_reschedule(self, now: float, spent: Event | None = None) -> None:
@@ -527,7 +527,7 @@ class PoolWorker:
         self._ps_advance(now)
         done = [j for j in self._active if j.remaining_s <= _PS_EPS]
         for job in done:
-            self._vacate(job, now)
+            self._vacate(job)
             self._complete_members(job, now, shared=True)
         self._ps_reschedule(now, spent=spent)
 

@@ -4,6 +4,10 @@ Hosts tie together a platform spec, the execution-time model and the
 energy meter. The ``on_robot`` flag decides whether the host's compute
 energy counts against the LGV's battery (Eq. 1a only sums robot-side
 energy; cloud watts are free to the vehicle).
+
+The serving layer (:mod:`repro.cloud`) also counts the hardware threads
+its in-flight requests claim on a host (``occupy``/``vacate``). It is a
+live count that guards the pool's accounting, not a time integral.
 """
 
 from __future__ import annotations
@@ -40,56 +44,31 @@ class Host:
         self.up: bool = True
         self.derate: float = 1.0
         #: Occupancy accounting (repro.cloud): hardware threads
-        #: currently claimed by in-flight pool requests, and the
-        #: integral of that claim over virtual time. The middleware
+        #: currently claimed by in-flight pool requests. The middleware
         #: graph's node executions do not occupy (they model a single
         #: mission's pipeline); only the serving layer claims threads.
         self.inflight_threads: int = 0
-        self.busy_thread_seconds: float = 0.0
-        self._occupancy_t: float = 0.0
 
     # ------------------------------------------------------------------
     # Occupancy (repro.cloud serving layer)
     # ------------------------------------------------------------------
-    def occupy(self, threads: int, now: float) -> None:
+    def occupy(self, threads: int) -> None:
         """Claim ``threads`` hardware threads for an in-flight request."""
         if threads < 0:
             raise ValueError(f"threads must be non-negative, got {threads}")
-        self._integrate(now)
         self.inflight_threads += threads
 
-    def vacate(self, threads: int, now: float) -> None:
-        """Release threads claimed by :meth:`occupy`."""
-        self._integrate(now)
+    def vacate(self, threads: int) -> None:
+        """Release threads claimed by :meth:`occupy`.
+
+        Releasing more than is claimed is an accounting fault in the
+        serving layer and raises ``RuntimeError``.
+        """
         self.inflight_threads -= threads
         if self.inflight_threads < 0:
             raise RuntimeError(
                 f"host {self.name!r} vacated more threads than occupied"
             )
-
-    def occupancy(self, now: float) -> float:
-        """Claimed threads over hardware threads at ``now``.
-
-        Exceeds 1.0 when a processor-sharing worker overcommits —
-        which is the fleet model's utilization > 1 regime.
-        """
-        self._integrate(now)
-        return self.inflight_threads / self.platform.hardware_threads
-
-    def mean_occupancy(self, now: float) -> float:
-        """Time-averaged occupancy over [0, now]."""
-        self._integrate(now)
-        if now <= 0:
-            return 0.0
-        return self.busy_thread_seconds / (
-            now * self.platform.hardware_threads
-        )
-
-    def _integrate(self, now: float) -> None:
-        dt = now - self._occupancy_t
-        if dt > 0:
-            self.busy_thread_seconds += self.inflight_threads * dt
-            self._occupancy_t = now
 
     def exec_time(
         self,
