@@ -3,8 +3,8 @@
 The hooks themselves live inside ``Simulator``, ``Graph`` and friends
 (behind ``if self.telemetry is not None`` guards); this module owns
 the metric *names* and the cached instrument handles those hot paths
-use, plus the periodic flusher that samples cumulative state (energy
-meters, queue depth) into gauges.
+use, plus the one periodic flusher (:func:`instrument_hosts`) that
+samples cumulative state (energy meters, queue depth) into gauges.
 
 Exported metric names (see ``docs/telemetry.md`` for the full table):
 
@@ -24,11 +24,6 @@ name                            kind       labels
 ``energy_joules_total``         gauge      ``host``, ``kind``
 ``host_cycles_total``           gauge      ``host``
 ``vdp_estimate_seconds``        gauge      ``which`` (local|cloud)
-``recovery_mode_level``         gauge      — (0=full_offload .. 2=all_local)
-``recovery_leases``             gauge      ``state`` (live|expired)
-``recovery_migrations_total``   gauge      ``outcome`` (committed|aborted)
-``recovery_checkpoints_total``  gauge      —
-``recovery_restores_total``     gauge      ``source`` (checkpoint|fresh)
 ==============================  =========  ==============================
 """
 
@@ -42,7 +37,6 @@ from repro.telemetry.hub import Telemetry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compute.host import Host
     from repro.middleware.graph import Graph
-    from repro.recovery.manager import RecoveryManager
     from repro.sim.kernel import Process, Simulator
 
 
@@ -127,45 +121,6 @@ def instrument_hosts(
 
     flush()  # gauges exist (at zero) even if the run ends before one period
     flusher = sim.every(period_s, flush, label="telemetry:flush")
-    telemetry.register_flusher(flusher)
-    return flusher
-
-
-def instrument_recovery(
-    telemetry: Telemetry,
-    manager: RecoveryManager,
-    period_s: float = 1.0,
-) -> Process:
-    """Periodic sampler for a :class:`repro.recovery.manager.RecoveryManager`.
-
-    The recovery layer already emits discrete events (``lease_expired``,
-    ``migration_phase``, ``recovery_mode``) when built with a telemetry
-    object; this flusher adds the continuously-sampled view — current
-    ladder rung, live/expired lease counts, cumulative 2PC outcomes —
-    so dashboards see the degraded interval, not just its edges.
-    """
-    from repro.recovery.manager import MODES
-
-    m = telemetry.metrics
-    mode = m.gauge("recovery_mode_level", "degraded-mode ladder rung (0..2)")
-    leases = m.gauge("recovery_leases", "supervised leases by state")
-    migrations = m.gauge("recovery_migrations_total", "2PC outcomes to date")
-    checkpoints = m.gauge("recovery_checkpoints_total", "committed checkpoints")
-    restores = m.gauge("recovery_restores_total", "crash restorations by source")
-
-    def flush() -> None:
-        held = list(manager.supervisor.leases.values())
-        mode.set(MODES.index(manager.mode))
-        leases.set(sum(1 for lease in held if not lease.expired), state="live")
-        leases.set(sum(1 for lease in held if lease.expired), state="expired")
-        migrations.set(manager.migrator.commits, outcome="committed")
-        migrations.set(manager.migrator.aborts, outcome="aborted")
-        checkpoints.set(manager.store.commits)
-        restores.set(manager.restored_from_checkpoint, source="checkpoint")
-        restores.set(manager.restored_fresh, source="fresh")
-
-    flush()
-    flusher = manager.graph.sim.every(period_s, flush, label="telemetry:recovery")
     telemetry.register_flusher(flusher)
     return flusher
 

@@ -729,21 +729,6 @@ class TestRecoveryManager:
 
 
 class TestInstrumentRecovery:
-    def test_flusher_samples_ladder_and_leases(self):
-        from repro.telemetry import Telemetry
-        from repro.telemetry.instrument import instrument_recovery
-
-        sim, graph, fabric, lgv, gw, node, manager, sup, *_ = make_manager()
-        tel = Telemetry(clock=sim.now)
-        instrument_recovery(tel, manager)
-        manager.start()
-        sim.run(until=2.0)
-        tel.flush_now()
-        m = tel.metrics
-        assert m.get("recovery_mode_level").value() == 0.0  # full_offload
-        assert m.get("recovery_leases").value(state="live") >= 0
-        assert m.get("recovery_checkpoints_total").value() >= 1
-
     def test_manager_without_telemetry_runs_clean(self):
         sim, graph, fabric, lgv, gw, node, manager, *_ = make_manager()
         manager.start()
