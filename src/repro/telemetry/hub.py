@@ -159,12 +159,6 @@ class Telemetry:
         p.write_text(json.dumps(self.tracer.to_chrome(), indent=1))
         return p
 
-    def write_trace_jsonl(self, path: str | Path) -> Path:
-        """Write the span log as JSONL (one span per line)."""
-        p = Path(path)
-        p.write_text(self.tracer.to_jsonl())
-        return p
-
     def write_metrics(self, path: str | Path) -> Path:
         """Write the metrics snapshot as JSON."""
         self.flush_now()

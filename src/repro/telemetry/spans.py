@@ -21,7 +21,6 @@ on. Nesting within a track follows begin/end pairing.
 
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -249,23 +248,3 @@ class Tracer:
             "displayTimeUnit": "ms",
             "otherData": {"dropped_spans": self.dropped},
         }
-
-    def to_jsonl(self) -> str:
-        """One JSON object per line, in start-time order."""
-        lines = []
-        for s in sorted(self.spans, key=lambda s: s.t_start):
-            lines.append(
-                json.dumps(
-                    {
-                        "name": s.name,
-                        "track": s.track,
-                        "cat": s.cat,
-                        "kind": s.kind,
-                        "t_start": s.t_start,
-                        "t_end": s.t_end,
-                        "args": s.args,
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")

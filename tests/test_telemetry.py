@@ -102,13 +102,6 @@ class TestTracer:
         tr = Tracer(clock=lambda: 0.0)
         assert validate_chrome_trace(json.loads(json.dumps(tr.to_chrome()))) == []
 
-    def test_jsonl_export(self):
-        tr = Tracer(clock=lambda: 0.0)
-        tr.complete("a", ts=2.0, dur=1.0)
-        tr.complete("b", ts=0.0, dur=1.0)
-        lines = [json.loads(ln) for ln in tr.to_jsonl().splitlines()]
-        assert [ln["name"] for ln in lines] == ["b", "a"]  # start-time order
-
 
 class TestMetrics:
     def test_counter_labels_and_total(self):
