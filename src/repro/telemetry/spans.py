@@ -5,14 +5,13 @@ discrete-event runs, ``time.perf_counter`` for plain wall-clock code —
 and export to the Chrome trace-event format, so any run can be opened
 in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 
-Two usage styles:
+Spans are recorded three ways:
 
-* the ``with tracer.span("costmap"):`` context manager for straight-line
-  code;
-* explicit :meth:`Tracer.begin` / :meth:`Tracer.end` for event-driven
-  code where entry and exit live in different callbacks, plus
-  :meth:`Tracer.complete` when the duration is known up front (the
-  modeled processing time of a middleware node).
+* :meth:`Tracer.begin` / :meth:`Tracer.end` around work the clock
+  passes through (the kernel's span per fired event);
+* :meth:`Tracer.complete` when the duration is known up front (the
+  modeled processing time of a middleware node);
+* :meth:`Tracer.instant` for zero-duration markers.
 
 Each span lives on a *track* (a Perfetto thread row): ``"kernel"`` for
 event firings, ``"host:lgv"`` for node executions on the LGV, and so
@@ -22,8 +21,7 @@ on. Nesting within a track follows begin/end pairing.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -116,15 +114,6 @@ class Tracer:
         self.record(span)
         return span
 
-    @contextmanager
-    def span(self, name: str, /, track: str = "main", cat: str = "", **args: Any) -> Iterator[Span]:
-        """Context manager form of :meth:`begin`/:meth:`end`."""
-        s = self.begin(name, track=track, cat=cat, **args)
-        try:
-            yield s
-        finally:
-            self.end(s)
-
     def complete(
         self,
         name: str,
@@ -177,15 +166,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
-    def open_spans(self, track: str | None = None) -> list[Span]:
-        """Spans begun but not yet ended (innermost last)."""
-        if track is not None:
-            return list(self._open.get(track, []))
-        out: list[Span] = []
-        for stack in self._open.values():
-            out.extend(stack)
-        return out
-
     def tracks(self) -> list[str]:
         """Track names in first-seen order."""
         seen: dict[str, None] = {}

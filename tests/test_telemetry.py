@@ -19,11 +19,12 @@ from repro.telemetry import (
 
 
 class TestTracer:
-    def test_span_context_manager_records_duration(self):
+    def test_begin_end_records_duration(self):
         t = {"now": 1.0}
         tr = Tracer(clock=lambda: t["now"])
-        with tr.span("work"):
-            t["now"] = 3.5
+        span = tr.begin("work")
+        t["now"] = 3.5
+        tr.end(span)
         assert len(tr.spans) == 1
         s = tr.spans[0]
         assert s.name == "work"
@@ -37,9 +38,11 @@ class TestTracer:
         order = []
 
         def outer():
-            with tel.tracer.span("outer", track="k"):
-                with tel.tracer.span("inner", track="k"):
-                    order.append(sim.now())
+            out = tel.tracer.begin("outer", track="k")
+            inner = tel.tracer.begin("inner", track="k")
+            order.append(sim.now())
+            tel.tracer.end(inner)
+            tel.tracer.end(out)
 
         sim.schedule_at(2.0, outer)
         sim.run()
@@ -60,7 +63,9 @@ class TestTracer:
         b = tr.begin("b", track="y")
         tr.end(a)  # fine: different track
         tr.end(b)
-        assert tr.open_spans() == []
+        assert [s.name for s in tr.spans] == ["a", "b"]
+        with pytest.raises(ValueError):
+            tr.end(b)  # both stacks are empty again
 
     def test_max_spans_drops_not_grows(self):
         tr = Tracer(clock=lambda: 0.0, max_spans=2)
