@@ -15,7 +15,7 @@ budget burning":
   which attributes each deadline miss to its dominant segment.
 * :class:`KernelProfiler` — opt-in DES self-profiling: per-event-label
   wall-clock attribution, heap-churn / cancel / same-time-tie counters
-  and a collapsed-stack (flamegraph) exporter. ``BENCH_kernel_profile
+  and the heaviest causal stacks (``top_stacks``). ``BENCH_kernel_profile
   .json`` is its artifact — the "before" baseline of the planned kernel
   overhaul.
 * :class:`SloMonitor` — streaming P² quantile estimators (no sample

@@ -13,8 +13,9 @@ per-label attribution the profiler counts the kernel's own churn:
   population the ordering auditor worries about and a tie-break
   optimization would target;
 * causal stacks — each event's :attr:`~repro.sim.events.Event.parent`
-  chain, collapsed into flamegraph lines (``a;b;c <usec>``), showing
-  which *scheduling chains* dominate, not just which labels.
+  chain, collapsed into ``root;...;leaf`` keys with a count and wall
+  time each (the profile JSON's ``top_stacks``), showing which
+  *scheduling chains* dominate, not just which labels.
 
 Its JSON artifact (``BENCH_kernel_profile.json``) is the "before"
 baseline the ROADMAP's kernel-overhaul item will be measured against.
@@ -199,18 +200,6 @@ class KernelProfiler:
                 for stack, (n, w) in by_stack[:top]
             },
         }
-
-    def to_collapsed(self) -> str:
-        """Flamegraph collapsed-stack lines: ``a;b;c <microseconds>``.
-
-        Feed to any flamegraph renderer (e.g. speedscope or
-        ``flamegraph.pl``); weights are integer microseconds.
-        """
-        lines = [
-            f"{stack} {max(1, round(w * 1e6))}"
-            for stack, (_, w) in sorted(self.stacks.items())
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
 
     def write_json(self, path: str | Path, top: int = 40) -> Path:
         """Write :meth:`snapshot` as indented JSON."""

@@ -259,7 +259,7 @@ class TestKernelProfiler:
 
         sim.schedule_at(0.0, root, label="root")
         sim.run()
-        assert "root;child" in prof.to_collapsed()
+        assert "root;child" in prof.snapshot()["top_stacks"]
 
     def test_detach_stops_recording(self):
         sim = Simulator()
@@ -337,7 +337,7 @@ class TestKernelProfiler:
         assert prof.events == 2
         assert prof.labels["ok"].count == prof.labels["boom"].count == 1
         assert prof.labels["boom"].wall_s == pytest.approx(0.001)
-        assert "ok;boom" in prof.to_collapsed()
+        assert "ok;boom" in prof.snapshot()["top_stacks"]
         kernel = [s for s in tel.tracer.spans if s.track == "kernel"]
         assert [(s.name, s.t_start, s.t_end) for s in kernel] == [
             ("ok", 1.0, 1.0), ("boom", 2.0, 2.0),
