@@ -15,7 +15,6 @@ exactly when the world turned hostile.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.sim.rng import seeded_rng
@@ -104,7 +103,6 @@ class FaultInjector:
         #: Phase changes as ``(virtual_time, phase, fault_kind)`` with
         #: phase in {"injected", "cleared"}.
         self.log: list[tuple[float, str, str]] = []
-        self._phase_hooks: list[Callable[[float, str, str], None]] = []
         self._armed = False
 
     @classmethod
@@ -449,21 +447,9 @@ class FaultInjector:
             raise ValueError(f"unknown server host {name!r}; have {known}")
         return matches
 
-    def on_phase(self, hook: Callable[[float, str, str], None]) -> FaultInjector:
-        """Register ``hook(t, phase, kind)`` for every fault transition.
-
-        Lets experiments correlate their own observations (lease
-        expiries, recovery restores) with injection/clear times without
-        polling :attr:`log`; returns ``self`` for chaining.
-        """
-        self._phase_hooks.append(hook)
-        return self
-
     def _emit(self, phase: str, fault: Fault, **fields) -> None:
         now = self.sim.now()
         self.log.append((now, phase, fault.kind))
-        for hook in self._phase_hooks:
-            hook(now, phase, fault.kind)
         if self.telemetry is not None:
             self.telemetry.emit(
                 f"fault_{phase}",
