@@ -38,6 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
 
+#: Longest parent chain rendered into a collapsed stack.
+MAX_STACK_DEPTH = 12
+#: Bound on the seq -> (label, parent) map; beyond it new events still
+#: profile by label, but their stacks collapse to the leaf.
+MAX_STACK_ENTRIES = 1_000_000
+
+
 class _LabelStat:
     """Accumulated wall time for one event label."""
 
@@ -56,27 +63,13 @@ class KernelProfiler:
     clock:
         Wall-clock source (``time.perf_counter``); injectable for
         tests.
-    track_stacks:
-        Record collapsed causal stacks (costs one dict insert per
-        event plus a bounded parent map).
-    max_stack_depth:
-        Longest parent chain rendered into a collapsed stack.
-    max_stack_entries:
-        Bound on the seq -> (label, parent) map; beyond it new events
-        still profile by label but their stacks collapse to the leaf.
+
+    Causal stacks cost one dict insert per event plus the parent map,
+    which :data:`MAX_STACK_ENTRIES` bounds.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        track_stacks: bool = True,
-        max_stack_depth: int = 12,
-        max_stack_entries: int = 1_000_000,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
-        self.track_stacks = track_stacks
-        self.max_stack_depth = max_stack_depth
-        self.max_stack_entries = max_stack_entries
         self.events = 0
         self.ties = 0
         self.wall_s = 0.0
@@ -130,9 +123,7 @@ class KernelProfiler:
         if t_event == self._last_time:  # lint: ok(SIM002): tie counting is the point
             self.ties += 1
         self._last_time = t_event
-        if not self.track_stacks:
-            return
-        if len(self._parents) < self.max_stack_entries:
+        if len(self._parents) < MAX_STACK_ENTRIES:
             self._parents[seq] = (label, parent)
         stack = self._stack_of(label, parent)
         entry = self.stacks.get(stack)
@@ -145,7 +136,7 @@ class KernelProfiler:
     def _stack_of(self, leaf: str, parent_seq: int) -> str:
         frames = [leaf]
         seq = parent_seq
-        while seq != -1 and len(frames) < self.max_stack_depth:
+        while seq != -1 and len(frames) < MAX_STACK_DEPTH:
             got = self._parents.get(seq)
             if got is None:
                 break
