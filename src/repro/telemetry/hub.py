@@ -122,7 +122,6 @@ class Telemetry:
         /,
         t: float | None = None,
         track: str = "events",
-        trace: bool = True,
         **fields: Any,
     ) -> TelemetryEvent:
         """Emit an event on the bus, mirrored as a trace instant.
@@ -132,8 +131,7 @@ class Telemetry:
         """
         t = self.now() if t is None else t
         ev = self.events.emit(kind, t, **fields)
-        if trace:
-            self.tracer.complete(kind, ts=t, dur=0.0, track=track, cat="event", **fields)
+        self.tracer.complete(kind, ts=t, dur=0.0, track=track, cat="event", **fields)
         return ev
 
     # ------------------------------------------------------------------

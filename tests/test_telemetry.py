@@ -251,7 +251,7 @@ class TestEventBus:
         tel = Telemetry()
         tel.events.max_events = 3
         for i in range(5):
-            tel.emit("tick_done", t=float(i), trace=False)
+            tel.emit("tick_done", t=float(i))
         assert tel.events.dropped == 2
         # warn-once: the counter records the overflow, not every drop
         assert tel.metrics.get("telemetry_events_dropped").total() == 1
