@@ -56,19 +56,18 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Observability layer (repro.obs) opt-ins
     # ------------------------------------------------------------------
-    def enable_obs(self, seed: int = 0, max_traces: int = 100_000) -> "RequestTracer":
+    def enable_obs(self, seed: int = 0) -> "RequestTracer":
         """Turn on causal request tracing; idempotent.
 
         Returns the :class:`~repro.obs.tracing.RequestTracer` hook
-        sites will record into. Its segments are kept by :attr:`tracer`
-        too, so the Chrome trace artifact gains ``req:<name>`` tracks.
+        sites will record into, with its default retention cap. Its
+        segments are kept by :attr:`tracer` too, so the Chrome trace
+        artifact gains ``req:<name>`` tracks.
         """
         if self.requests is None:
             from repro.obs.tracing import RequestTracer
 
-            self.requests = RequestTracer(
-                tracer=self.tracer, seed=seed, max_traces=max_traces
-            )
+            self.requests = RequestTracer(tracer=self.tracer, seed=seed)
         return self.requests
 
     def enable_slo(self, policy: "SloPolicy | None" = None) -> "SloMonitor":
