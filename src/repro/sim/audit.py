@@ -24,8 +24,8 @@ Zero ambiguities on the reference artifacts (fig9's traced mission,
 the fig13 deployment cells) is asserted by
 ``benchmarks/test_determinism_audit.py`` and gated in CI.
 
-Enable per-simulator (``Simulator(audit_ordering=True)`` or
-:meth:`~repro.sim.kernel.Simulator.enable_ordering_audit`), or
+Enable per-simulator with
+:meth:`~repro.sim.kernel.Simulator.enable_ordering_audit`, or
 fleet-wide for code that constructs simulators internally::
 
     auditors = Simulator.install_default_audit()

@@ -61,10 +61,12 @@ class Simulator:
     and counted in ``sim_events_total``. When ``None`` (the default)
     the only cost is one attribute test per event.
 
-    ``audit_ordering`` attaches an :class:`~repro.sim.audit.OrderingAuditor`
-    that watches same-time event ties for ambiguous resolution order;
-    see :mod:`repro.sim.audit`. Off by default — the audited hot path
-    pays one extra comparison per event.
+    :meth:`enable_ordering_audit` attaches an
+    :class:`~repro.sim.audit.OrderingAuditor` that watches same-time
+    event ties for ambiguous resolution order (see
+    :mod:`repro.sim.audit`); :meth:`install_default_audit` does so for
+    every simulator built afterwards. Off by default — the audited hot
+    path pays one extra comparison per event.
     """
 
     #: When set (via :meth:`install_default_audit`), every subsequently
@@ -85,7 +87,7 @@ class Simulator:
     #: repository costs one call frame instead of two.
     now: Callable[[], float]
 
-    def __init__(self, start_time: float = 0.0, audit_ordering: bool = False) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self.clock = SimClock(start_time)
         self.now = self.clock.now
         self.queue = EventQueue()
@@ -101,10 +103,8 @@ class Simulator:
         self._in_event = False  # reentrancy guard for run()/step()
         self.auditor: OrderingAuditor | None = None
         self._last_fired: _FiredRef | None = None
-        if audit_ordering:
-            self.enable_ordering_audit()
         registry = Simulator._default_audit_registry
-        if registry is not None and self.auditor is None:
+        if registry is not None:
             registry.append(self.enable_ordering_audit())
         prof_registry = Simulator._default_profiler_registry
         if prof_registry is not None:

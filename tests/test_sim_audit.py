@@ -7,6 +7,12 @@ import pytest
 from repro.sim import OrderingAuditor, Simulator
 
 
+def _audited() -> Simulator:
+    sim = Simulator()
+    sim.enable_ordering_audit()
+    return sim
+
+
 class TestOrderingAuditor:
     def test_disabled_by_default(self):
         sim = Simulator()
@@ -14,7 +20,7 @@ class TestOrderingAuditor:
 
     def test_stable_ties_are_not_ambiguous(self):
         """Two periodic processes colliding keep one stable order."""
-        sim = Simulator(audit_ordering=True)
+        sim = _audited()
         order: list[str] = []
         sim.every(1.0, lambda: order.append("a"), label="a")
         sim.every(1.0, lambda: order.append("b"), label="b")
@@ -28,7 +34,7 @@ class TestOrderingAuditor:
 
     def test_inversion_is_ambiguous(self):
         """A tied label pair that flips order within the run is flagged."""
-        sim = Simulator(audit_ordering=True)
+        sim = _audited()
         sim.schedule_at(1.0, lambda: None, label="a")
         sim.schedule_at(1.0, lambda: None, label="b")
         # same pair, opposite insertion order at t=2
@@ -43,7 +49,7 @@ class TestOrderingAuditor:
         assert "inversion" in aud.report()
 
     def test_same_label_distinct_callbacks_is_ambiguous(self):
-        sim = Simulator(audit_ordering=True)
+        sim = _audited()
         sim.schedule_at(1.0, lambda: "x", label="tick")
         sim.schedule_at(1.0, lambda: "y", label="tick")
         sim.run()
@@ -53,7 +59,7 @@ class TestOrderingAuditor:
 
     def test_causal_child_tie_is_not_counted(self):
         """An event scheduling a same-time follow-up is causal, not a tie."""
-        sim = Simulator(audit_ordering=True)
+        sim = _audited()
 
         def parent() -> None:
             sim.schedule_after(0.0, lambda: None, label="child")
@@ -66,7 +72,7 @@ class TestOrderingAuditor:
         assert aud.ambiguities == []
 
     def test_different_times_never_tie(self):
-        sim = Simulator(audit_ordering=True)
+        sim = _audited()
         sim.schedule_at(1.0, lambda: None, label="a")
         sim.schedule_at(2.0, lambda: None, label="b")
         sim.run()
@@ -86,7 +92,7 @@ class TestOrderingAuditor:
         assert aud.tie_count == 1
 
     def test_report_renders_clean_run(self):
-        sim = Simulator(audit_ordering=True)
+        sim = _audited()
         sim.schedule_at(1.0, lambda: None, label="only")
         sim.run()
         assert sim.auditor is not None
