@@ -18,7 +18,7 @@ budget burning":
   and the heaviest causal stacks (``top_stacks``). ``BENCH_kernel_profile
   .json`` is its artifact — the "before" baseline of the planned kernel
   overhaul.
-* :class:`SloMonitor` — streaming P² quantile estimators (no sample
+* :class:`SloMonitor` — a streaming P² p95 estimator (no sample
   retention) plus per-tenant deadline-miss burn-rate windows; breaches
   are recorded as typed ``slo_breach`` events on the telemetry
   :class:`~repro.telemetry.events.EventBus`. Nothing reacts to them:

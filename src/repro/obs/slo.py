@@ -1,12 +1,13 @@
-"""SLO monitoring: streaming quantiles + deadline-miss burn rates.
+"""SLO monitoring: a streaming p95 + deadline-miss burn rates.
 
 The monitor watches every served tick (``observe``) and keeps, per
 tenant:
 
-* **P² quantile estimators** — the classic Jain & Chlamtac (1985)
-  five-marker algorithm: p50/p95/p99 of tick latency in O(1) memory,
-  no sample retention (a 64-robot fleet at 5 Hz would otherwise retain
-  hundreds of thousands of floats per quantile);
+* a **P² quantile estimator** — the classic Jain & Chlamtac (1985)
+  five-marker algorithm: the p95 of tick latency in O(1) memory, no
+  sample retention (a 64-robot fleet at 5 Hz would otherwise retain
+  hundreds of thousands of floats). The p95 is the one quantile a
+  breach record carries (:attr:`SloBreach.p95_s`);
 * a **burn-rate window** — deadline misses over served ticks across a
   sliding window, held as ~10 coarse time buckets (O(1) memory again).
 
@@ -129,8 +130,6 @@ class SloPolicy:
     burn_threshold: float = 0.1
     #: Served ticks the window must hold before it can breach.
     min_samples: int = 20
-    #: Latency quantiles tracked per tenant (P², streaming).
-    quantiles: tuple[float, ...] = (0.5, 0.95, 0.99)
     #: A breached tenant re-arms when burn drops below
     #: ``burn_threshold * rearm_factor`` (hysteresis against flapping).
     rearm_factor: float = 0.5
@@ -151,10 +150,10 @@ class SloBreach:
 class _TenantSlo:
     """Per-tenant streaming state."""
 
-    __slots__ = ("estimators", "buckets", "breached")
+    __slots__ = ("p95", "buckets", "breached")
 
-    def __init__(self, policy: SloPolicy) -> None:
-        self.estimators = {q: P2Quantile(q) for q in policy.quantiles}
+    def __init__(self) -> None:
+        self.p95 = P2Quantile(0.95)
         #: (bucket_start_t, served, missed) ring, ~10 buckets a window.
         self.buckets: deque[list[float]] = deque()
         self.breached = False
@@ -181,9 +180,8 @@ class SloMonitor:
         """Feed one served tick; returns the breach/recovery if any."""
         state = self._tenants.get(tenant)
         if state is None:
-            state = self._tenants[tenant] = _TenantSlo(self.policy)
-        for est in state.estimators.values():
-            est.observe(latency_s)
+            state = self._tenants[tenant] = _TenantSlo()
+        state.p95.observe(latency_s)
         missed = latency_s > deadline_s
         self._bucket(state, t, missed)
         served, miss_count = self._window_totals(state, t)
@@ -203,12 +201,12 @@ class SloMonitor:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def quantile(self, tenant: str, q: float) -> float:
-        """Current latency quantile estimate for ``tenant`` (NaN if unseen)."""
+    def p95(self, tenant: str) -> float:
+        """Current p95 latency estimate for ``tenant`` (NaN if unseen)."""
         state = self._tenants.get(tenant)
-        if state is None or q not in state.estimators:
+        if state is None:
             return math.nan
-        return state.estimators[q].value()
+        return state.p95.value()
 
     def burn_rate(self, tenant: str, t: float) -> float:
         """Miss fraction over the current window (NaN with no ticks)."""
@@ -249,14 +247,13 @@ class SloMonitor:
     def _record(
         self, state: _TenantSlo, kind: str, tenant: str, burn: float, t: float
     ) -> SloBreach:
-        p95 = state.estimators.get(0.95)
         breach = SloBreach(
             t=t,
             tenant=tenant,
             kind=kind,
             burn_rate=burn,
             window_s=self.policy.window_s,
-            p95_s=p95.value() if p95 is not None else math.nan,
+            p95_s=state.p95.value(),
         )
         self.breaches.append(breach)
         fields: dict[str, Any] = {

@@ -212,8 +212,8 @@ class TestSloMonitor:
         _, mon = self._monitor()
         for i in range(100):
             mon.observe("r0", 0.1, 0.2, 0.1 * i)
-        assert mon.quantile("r0", 0.95) == pytest.approx(0.1)
-        assert math.isnan(mon.quantile("ghost", 0.95))
+        assert mon.p95("r0") == pytest.approx(0.1)
+        assert math.isnan(mon.p95("ghost"))
         assert mon.tenants() == ("r0",)
 
 
@@ -455,7 +455,7 @@ class TestTickTracing:
     def test_slo_fed_from_completion_path(self):
         tel, _ = self._run(radio=True)
         assert tel.slo.tenants() == ("r0",)
-        assert not math.isnan(tel.slo.quantile("r0", 0.95))
+        assert not math.isnan(tel.slo.p95("r0"))
 
     def test_eviction_closes_partial_segments(self):
         sim = Simulator()
