@@ -124,8 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scheduler",
         choices=SCHEDULER_NAMES,
         default=None,
-        help="per-worker serving discipline for 'fleet' "
-        "(default: edf; --hybrid accepts only ps, the validated fidelity config)",
+        help="per-worker serving discipline for 'fleet' and the 'geo' site "
+        "pools (default: edf; --hybrid and --geo-background N>0 accept only "
+        "ps, the validated fluid-background config, and default to it)",
     )
     fleet.add_argument(
         "--seed",
@@ -210,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="fluid background tenants split across the site pools "
-        "(default: 0, off)",
+        "(default: 0, off; N>0 needs --scheduler ps, its default)",
     )
     recover = parser.add_argument_group("recover", "options for the 'recover' artifact")
     recover.add_argument(
@@ -260,14 +261,16 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         print(f"unknown artifact(s): {', '.join(unknown)} — try 'list'", file=sys.stderr)
         return 2
-    if args.hybrid and args.scheduler not in (None, "ps"):
-        # the fluid/DES coupling is only validated under processor
-        # sharing; FIFO/EDF lose fidelity (docs/hybrid.md)
-        print(
-            f"--hybrid is validated only with --scheduler ps, not {args.scheduler!r}",
-            file=sys.stderr,
-        )
-        return 2
+    # the fluid/DES coupling is only validated under processor sharing;
+    # FIFO/EDF lose fidelity (docs/hybrid.md)
+    fluid = (("--hybrid", args.hybrid), ("--geo-background", args.geo_background > 0))
+    for flag, on in fluid:
+        if on and args.scheduler not in (None, "ps"):
+            print(
+                f"{flag} is validated only with --scheduler ps, not {args.scheduler!r}",
+                file=sys.stderr,
+            )
+            return 2
 
     tel: Telemetry | None = None
     if trace_mode or args.trace_out or args.metrics_out or args.critical_path:
@@ -319,9 +322,11 @@ def main(argv: list[str] | None = None) -> int:
                 "batching": batching,
             }
         elif name == "geo":
+            default = "ps" if args.geo_background > 0 else "edf"
             kwargs = {
                 "robots": args.geo_robots,
                 "seed": args.seed,
+                "scheduler": args.scheduler or default,
                 "background": args.geo_background,
             }
         if tel is not None:

@@ -414,7 +414,17 @@ def run_geo(
     ``lease_ttl_s`` of silence plus a couple of handoff-check periods
     plus one local tick before service resumes somewhere — 5 s bounds
     that with margin while still catching a genuinely stuck tenant.
+
+    A fluid ``background`` splits across the site pools, and like the
+    hybrid fleet's it is validated only under processor sharing: with
+    ``background > 0`` any ``scheduler`` but ``"ps"`` raises
+    ``ValueError``.
     """
+    if background > 0 and scheduler != "ps":
+        raise ValueError(
+            "a fluid background is validated only with the ps scheduler, "
+            f"not {scheduler!r} (docs/hybrid.md)"
+        )
     if config is None:
         config = RecoveryConfig()
     cell_params: dict[str, tuple[float, str | None]] = {

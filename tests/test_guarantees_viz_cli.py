@@ -170,6 +170,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--scheduler ps" in err and scheduler in err
 
+    @pytest.mark.parametrize("scheduler", ["fifo", "edf"])
+    def test_geo_background_refuses_unvalidated_scheduler(self, capsys, scheduler):
+        argv = ["geo", "--geo-background", "50", "--scheduler", scheduler]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--geo-background" in err and "--scheduler ps" in err
+        assert scheduler in err
+
+    def test_geo_reads_scheduler_and_defaults_background_to_ps(self, monkeypatch, capsys):
+        seen = []
+
+        class _Result:
+            def render(self):
+                return ""
+
+        def fake_geo(**kwargs):
+            seen.append(kwargs["scheduler"])
+            return _Result()
+
+        monkeypatch.setitem(ARTIFACTS, "geo", (fake_geo, "geo"))
+        for argv in (["geo"], ["geo", "--geo-background", "50"],
+                     ["geo", "--scheduler", "fifo"]):
+            assert cli_main(argv) == 0
+        assert seen == ["edf", "ps", "fifo"]
+
     def test_hybrid_defaults_to_ps(self, capsys, tmp_path):
         out_path = tmp_path / "hybrid.json"
         argv = ["fleet", "--hybrid", "--tenants", "64", "--focal", "2",

@@ -525,9 +525,16 @@ class TestRunGeo:
             seed=0,
             background=30,
             cells=("baseline",),
+            scheduler="ps",
         )
         assert r.background == 30
         assert r.cell("baseline").duplicate_completions == 0
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "edf"])
+    def test_geo_background_refuses_unvalidated_scheduler(self, scheduler):
+        # the fluid background is validated only under processor sharing
+        with pytest.raises(ValueError, match="ps scheduler"):
+            run_geo(robots=1, sim_time_s=5.0, background=1, scheduler=scheduler)
 
     def test_unknown_cell_rejected(self):
         with pytest.raises(KeyError, match="unknown geo cell"):
