@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import OrderingAuditor, Simulator
+from repro.sim import Simulator
 
 
 def _audited() -> Simulator:

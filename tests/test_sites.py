@@ -8,8 +8,6 @@ contract (zero ``duplicate_completions``) through every path.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.cloud import BatchPolicy, TenantSpec
