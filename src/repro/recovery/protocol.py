@@ -28,7 +28,7 @@ the phase that runs after it — there is no up-front latency oracle.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.compute.host import Host
