@@ -580,6 +580,19 @@ class WorkerPool:
         #: spread evenly across live workers.
         self.background_demand_cores = 0.0
         self._instruments = None
+        #: The gauge series :meth:`_sample_gauges` writes, resolved once:
+        #: ``cloud_pool_workers``, then per worker its queue depth and
+        #: utilization (``Gauge.cell`` storage).
+        self._gauges: (
+            tuple[list[float], list[tuple[PoolWorker, list[float], list[float]]]] | None
+        ) = None
+        for h in hosts:
+            self.workers.append(
+                PoolWorker(sim, h, scheduler, telemetry, batching)
+            )
+            self._emit("pool_worker_added", worker=h.name)
+        if not self.workers:
+            raise ValueError("a WorkerPool needs at least one host")
         if telemetry is not None:
             m = telemetry.metrics
             self._instruments = (
@@ -591,24 +604,22 @@ class WorkerPool:
                     "cloud_service_seconds",
                     "pool-side sojourn (arrival to completion) per tenant",
                 ),
-                m.gauge("cloud_pool_queue_depth", "queued requests per worker"),
-                m.gauge(
-                    "cloud_pool_utilization",
-                    "thread demand over capacity per worker",
-                ),
-                m.gauge("cloud_pool_workers", "live workers in the pool"),
                 m.counter(
                     "cloud_rebalanced_total",
                     "requests re-placed after a worker crash/retire",
                 ),
             )
-        for h in hosts:
-            self.workers.append(
-                PoolWorker(sim, h, scheduler, telemetry, batching)
+            depth = m.gauge("cloud_pool_queue_depth", "queued requests per worker")
+            util = m.gauge(
+                "cloud_pool_utilization", "thread demand over capacity per worker"
             )
-            self._emit("pool_worker_added", worker=h.name)
-        if not self.workers:
-            raise ValueError("a WorkerPool needs at least one host")
+            self._gauges = (
+                m.gauge("cloud_pool_workers", "live workers in the pool").cell(),
+                [
+                    (w, depth.cell(worker=w.host.name), util.cell(worker=w.host.name))
+                    for w in self.workers
+                ],
+            )
         self._sample_gauges()
 
     def worker_hosts(self) -> tuple[Host, ...]:
@@ -740,7 +751,7 @@ class WorkerPool:
             req.rebalances += 1
             self.rebalanced += 1
             if self._instruments is not None:
-                self._instruments[5].inc(worker=crashed)
+                self._instruments[2].inc(worker=crashed)
                 self._count(req.tenant, "rebalanced")
             self._place(req, cb)
 
@@ -805,13 +816,13 @@ class WorkerPool:
         return min(live, key=lambda w: (w.load(), w.host.name)).host
 
     def _sample_gauges(self) -> None:
-        if self._instruments is None:
+        if self._gauges is None:
             return
-        _, _, qd, util, nworkers, _ = self._instruments
-        for w in self.workers:
-            qd.set(w.queue_depth(), worker=w.host.name)
-            util.set(w.load(), worker=w.host.name)
-        nworkers.set(len(self.live_workers()))
+        live, per_worker = self._gauges
+        for w, depth, util in per_worker:
+            depth[0] = float(w.queue_depth())
+            util[0] = float(w.load())
+        live[0] = float(len(self.live_workers()))
 
     def _count(self, tenant: str, outcome: str) -> None:
         if self._instruments is not None:

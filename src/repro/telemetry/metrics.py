@@ -9,6 +9,12 @@ Instruments support labels (``counter.inc(topic="scan")``); a
 *cardinality guard* caps the number of distinct label sets per
 instrument so an unbounded label (say, a message id) fails fast
 instead of silently eating memory.
+
+A series is stored under its canonical key (sorted ``k=v`` pairs, the
+key ``snapshot()`` reports). A write first looks its labels up as
+spelled, ``tuple(labels.items())``, in a per-instrument map of
+all-string spellings already seen, so the hot path neither sorts nor
+joins; only a new spelling builds the canonical key.
 """
 
 from __future__ import annotations
@@ -61,9 +67,21 @@ class _Instrument:
         self.help = help
         self.max_label_sets = max_label_sets
         self._children: dict[str, object] = {}
+        #: ``tuple(labels.items())`` -> child, for all-string spellings
+        #: only: ``1``, ``1.0`` and ``True`` compare equal but key
+        #: different series, while a ``str`` equals only a ``str``.
+        self._spellings: dict[tuple[tuple[str, str], ...], object] = {}
 
-    def _child(self, labels: dict[str, str], factory: Callable[[], object]) -> object:
-        key = _label_key({k: str(v) for k, v in labels.items()})
+    def _new_child(self) -> object:
+        return [0.0]
+
+    def _child(self, labels: dict[str, str]) -> object:
+        """The labelled child, created on first use (guarded)."""
+        spelling = tuple(labels.items())
+        child = self._spellings.get(spelling)
+        if child is not None:
+            return child
+        key = _label_key({k: str(v) for k, v in spelling})
         child = self._children.get(key)
         if child is None:
             if len(self._children) >= self.max_label_sets:
@@ -75,9 +93,15 @@ class _Instrument:
                     f"(an id, a sequence number, a timestamp) is the "
                     f"usual culprit"
                 )
-            child = factory()
+            child = self._new_child()
             self._children[key] = child
+        if all(type(v) is str for _, v in spelling):
+            self._spellings[spelling] = child
         return child
+
+    def _find(self, labels: dict[str, str]) -> object | None:
+        """The labelled child, or ``None`` if never written."""
+        return self._children.get(_label_key({k: str(v) for k, v in labels.items()}))
 
     def label_sets(self) -> list[str]:
         """Canonical keys of every label set seen so far."""
@@ -93,13 +117,11 @@ class Counter(_Instrument):
         """Add ``amount`` (must be >= 0) to the labelled child."""
         if amount < 0:
             raise ValueError(f"counter increment must be >= 0, got {amount}")
-        child = self._child(labels, lambda: [0.0])
-        child[0] += amount  # type: ignore[index]
+        self._child(labels)[0] += amount  # type: ignore[index]
 
     def value(self, **labels: str) -> float:
         """Current value of the labelled child (0.0 if never touched)."""
-        key = _label_key({k: str(v) for k, v in labels.items()})
-        child = self._children.get(key)
+        child = self._find(labels)
         return child[0] if child is not None else 0.0  # type: ignore[index]
 
     def total(self) -> float:
@@ -122,18 +144,24 @@ class Gauge(_Instrument):
 
     def set(self, value: float, **labels: str) -> None:
         """Set the labelled child to ``value``."""
-        child = self._child(labels, lambda: [0.0])
-        child[0] = float(value)  # type: ignore[index]
+        self._child(labels)[0] = float(value)  # type: ignore[index]
 
     def add(self, delta: float, **labels: str) -> None:
         """Add ``delta`` (either sign) to the labelled child."""
-        child = self._child(labels, lambda: [0.0])
-        child[0] += delta  # type: ignore[index]
+        self._child(labels)[0] += delta  # type: ignore[index]
+
+    def cell(self, **labels: str) -> list[float]:
+        """The labelled child's storage, created at 0.0 on first use.
+
+        A one-element list: ``cell[0] = float(v)`` is ``set(v, **labels)``
+        without the label lookup, for a writer that samples the same
+        series over and over.
+        """
+        return self._child(labels)  # type: ignore[return-value]
 
     def value(self, **labels: str) -> float:
         """Current value of the labelled child (0.0 if never set)."""
-        key = _label_key({k: str(v) for k, v in labels.items()})
-        child = self._children.get(key)
+        child = self._find(labels)
         return child[0] if child is not None else 0.0  # type: ignore[index]
 
     def snapshot(self) -> dict:
@@ -185,9 +213,7 @@ class Histogram(_Instrument):
         """Record one observation."""
         if value != value:  # NaN guard
             raise ValueError("cannot observe NaN")
-        child: _HistChild = self._child(
-            labels, lambda: _HistChild(bucket_counts=[0] * (len(self.buckets) + 1))
-        )  # type: ignore[assignment]
+        child: _HistChild = self._child(labels)  # type: ignore[assignment]
         idx = bisect_left(self.buckets, value)
         child.bucket_counts[idx] += 1
         child.count += 1
@@ -195,9 +221,11 @@ class Histogram(_Instrument):
         child.min = min(child.min, value)
         child.max = max(child.max, value)
 
+    def _new_child(self) -> _HistChild:
+        return _HistChild(bucket_counts=[0] * (len(self.buckets) + 1))
+
     def _get(self, labels: dict[str, str]) -> _HistChild | None:
-        key = _label_key({k: str(v) for k, v in labels.items()})
-        return self._children.get(key)  # type: ignore[return-value]
+        return self._find(labels)  # type: ignore[return-value]
 
     def count(self, **labels: str) -> int:
         """Observation count for one label set."""

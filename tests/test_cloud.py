@@ -484,6 +484,25 @@ class TestWorkerPool:
         util = tel.metrics.get("cloud_pool_utilization")
         assert util.label_sets() == [f"worker={name}" for name in names]
 
+    def test_gauges_follow_queue_and_live_workers(self):
+        sim = Simulator()
+        tel = Telemetry()
+        pool = make_pool(sim, n_workers=2, telemetry=tel)
+        for i in range(4):
+            pool.submit(req(tenant=f"r{i}"), lambda r, t: None)
+        depth = tel.metrics.get("cloud_pool_queue_depth")
+        util = tel.metrics.get("cloud_pool_utilization")
+        for w in pool.workers:
+            assert depth.value(worker=w.host.name) == w.queue_depth() == 1
+            assert util.value(worker=w.host.name) == w.load() == 2.0
+        victim = pool.workers[0]
+        victim.host.up = False
+        pool.on_worker_down(victim.host)
+        assert tel.metrics.get("cloud_pool_workers").value() == 1
+        assert depth.value(worker=victim.host.name) == 0
+        sim.run(until=10.0)
+        assert depth.value(worker="cloud-vm1") == util.value(worker="cloud-vm1") == 0
+
     def test_telemetry_labels_per_tenant(self):
         sim = Simulator()
         tel = Telemetry()

@@ -190,6 +190,74 @@ class TestMetrics:
         with pytest.raises(LabelCardinalityError, match=r"\(unlabelled\)"):
             g.set(2.0)
 
+    def test_label_order_is_one_series(self):
+        c = Registry().counter("c")
+        c.inc(a="x", b="y")
+        c.inc(b="y", a="x")
+        assert c.label_sets() == ["a=x,b=y"]
+        assert c.value(a="x", b="y") == c.value(b="y", a="x") == 2
+
+    def test_int_and_str_label_values_are_one_series(self):
+        r = Registry()
+        c, g, h = r.counter("c"), r.gauge("g"), r.histogram("h")
+        c.inc(worker=1)
+        c.inc(worker="1")
+        g.set(3.0, worker="1")
+        g.set(4.0, worker=1)
+        h.observe(0.1, worker=1)
+        h.observe(0.2, worker="1")
+        for inst in (c, g, h):
+            assert inst.label_sets() == ["worker=1"]
+        assert c.value(worker=1) == c.value(worker="1") == 2
+        assert g.value(worker="1") == g.value(worker=1) == 4.0
+        assert h.count(worker=1) == h.count(worker="1") == 2
+
+    def test_equal_label_values_that_print_differently_stay_apart(self):
+        # True == 1 == 1.0 in Python, but they spell three canonical keys
+        c = Registry().counter("c")
+        c.inc(flag=True)
+        c.inc(flag=1)
+        c.inc(flag=1.0)
+        c.inc(flag=1)
+        assert c.label_sets() == ["flag=True", "flag=1", "flag=1.0"]
+        assert [c.value(flag=v) for v in (True, 1, 1.0)] == [1, 2, 1]
+
+    def test_cardinality_guard_counts_label_sets_not_spellings(self):
+        c = Registry().counter("c", max_label_sets=2)
+        c.inc(a="0", b="0")
+        c.inc(a="1", b="0")
+        # re-spellings of a tracked set never trip the guard
+        c.inc(b="0", a="0")
+        c.inc(a=1, b="0")
+        c.inc(b=0, a=1)
+        with pytest.raises(LabelCardinalityError, match="a=2,b=0"):
+            c.inc(b="0", a="2")
+        # the refused set was not recorded under any spelling
+        with pytest.raises(LabelCardinalityError):
+            c.inc(b="0", a="2")
+        assert c.label_sets() == ["a=0,b=0", "a=1,b=0"]
+        assert c.value(a="0", b="0") == 2 and c.value(a="1", b="0") == 3
+
+    def test_snapshot_keeps_first_write_order(self):
+        r = Registry()
+        g, h = r.gauge("g"), r.histogram("h")
+        for w in ("b", "a", "b", "c", "a"):
+            g.set(1.0, worker=w, kind="x")
+            h.observe(0.1, kind="x", worker=w)
+        order = ["kind=x,worker=b", "kind=x,worker=a", "kind=x,worker=c"]
+        snap = r.snapshot()
+        assert list(snap["g"]["values"]) == order
+        assert list(snap["h"]["series"]) == order
+
+    def test_gauge_cell_is_the_series_storage(self):
+        g = Registry().gauge("g")
+        cell = g.cell(worker="w0")
+        assert g.label_sets() == ["worker=w0"] and g.value(worker="w0") == 0.0
+        cell[0] = 4.0
+        assert g.value(worker="w0") == 4.0
+        g.set(2.0, worker="w0")
+        assert cell[0] == 2.0 and g.cell(worker="w0") is cell
+
     def test_registry_get_or_create_and_kind_clash(self):
         r = Registry()
         assert r.counter("x") is r.counter("x")
