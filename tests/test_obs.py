@@ -54,6 +54,17 @@ class TestTraceContext:
         ]
         assert IdAllocator(7).new_trace_id() != IdAllocator(8).new_trace_id()
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_block_drawn_ids_equal_scalar_draws(self, seed):
+        # ids are drawn a block at a time; across three block boundaries
+        # they must be the ids one-at-a-time draws of the stream give
+        ids = IdAllocator(seed)
+        rng = seeded_rng(seed)
+        n = 3 * 256 + 5
+        assert [ids.new_trace_id() for _ in range(n)] == [
+            int(rng.integers(0, 2**32)) for _ in range(n)
+        ]
+
     def test_child_keeps_trace_id_and_links_parent(self):
         root = TraceContext(trace_id=42, span_id=1)
         child = root.child(2)
@@ -130,7 +141,11 @@ class TestRequestTracer:
         seg = rt.tree(ctx).segments[-1]
         assert seg is tr.spans[-1]
         assert seg.ctx == up and seg.ctx.parent_id == ctx.span_id
-        assert list(seg.args) == ["trace", "bytes"]
+        # the trace id is formatted from seg.ctx at export, leading args
+        assert seg.args == {"bytes": 512}
+        (ev,) = [e for e in tr.chrome_events() if e["name"] == "uplink"]
+        assert list(ev["args"]) == ["trace", "bytes"]
+        assert ev["args"]["trace"] == up.short()
 
     def test_instant_is_zero_width(self):
         rt = RequestTracer()
