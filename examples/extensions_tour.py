@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Tour of the §IX/§X extensions: DVFS, GA baseline, multi-WAP, vision, fleet.
+"""Tour of the §IX/§X extensions: DVFS, GA baseline, WAP roaming, vision, fleet.
 
 Each section quantifies one direction the paper's discussion sketches,
 using the same calibrated models as the main evaluation.
@@ -12,18 +12,15 @@ import numpy as np
 from repro.cloud.fleet import FleetServerModel, size_fleet
 from repro.compute.platform import CLOUD_SERVER, EDGE_GATEWAY
 from repro.extensions import (
-    AccessPointSelector,
     DvfsPolicy,
     GeneticOffloadPlanner,
-    MultiWapLink,
     PlacementGenome,
     VisionLocalizationModel,
     optimal_frequency,
     vision_safe_velocity,
 )
+from repro.network.fabric import FleetRadioNetwork
 from repro.network.signal import WapSite
-from repro.network.udp import UdpChannel
-from repro.sim.rng import seeded_rng
 
 
 def demo_dvfs() -> None:
@@ -55,21 +52,33 @@ def demo_genetic() -> None:
 
 
 def demo_multiwap() -> None:
-    print("=== Access-point selection (prior-work robustness, §X) ===")
-    pos = [2.0, 0.0]
-    sel = AccessPointSelector([WapSite(0, 0), WapSite(30, 0)], lambda: (pos[0], pos[1]))
-    link = MultiWapLink(sel, seeded_rng(1))
-    udp = UdpChannel(link)
-    delivered = 0
-    for i, x in enumerate(np.linspace(2, 28, 120)):
-        pos[0] = float(x)
-        link.tick(i * 0.2)
-        if udp.send(500, i * 0.2) is not None:
-            delivered += 1
-    print(f"  driving between two WAPs 30 m apart: {delivered}/120 delivered, "
-          f"{len(sel.handovers)} handover(s) at "
-          f"{[f'{h.t:.0f}s' for h in sel.handovers]}")
-    print("  (with a single WAP the far half of this drive is a dead zone)\n")
+    print("=== Access-point roaming (prior-work robustness, §X) ===")
+
+    def drive(waps: list[WapSite]) -> tuple[int, int, list[float]]:
+        # x = 2 -> 28 m, one 500 B datagram every 0.2 s, re-picking the
+        # nearest WAP before each send
+        net = FleetRadioNetwork(waps, seed=1)
+        pos = [2.0, 0.0]
+        link = net.attach("r0", lambda: (pos[0], pos[1]))
+        delivered = far = 0
+        roams = []
+        for i, x in enumerate(np.linspace(2, 28, 120)):
+            pos[0] = float(x)
+            wap = link.wap
+            net.reassociate("r0")
+            if link.wap is not wap:
+                roams.append(i * 0.2)
+            if net.uplink_latency("r0", 500, i * 0.2) is not None:
+                delivered += 1
+                far += int(x > 20)
+        return delivered, far, roams
+
+    delivered, far, roams = drive([WapSite(0, 0), WapSite(30, 0)])
+    print(f"  two WAPs 30 m apart: {delivered}/120 delivered ({far} beyond 20 m), "
+          f"{len(roams)} roam(s) at {[f'{t:.1f}s' for t in roams]}")
+    delivered, far, _ = drive([WapSite(0, 0)])
+    print(f"  one WAP:             {delivered}/120 delivered ({far} beyond 20 m) "
+          f"— the far end of the drive is a dead zone\n")
 
 
 def demo_vision() -> None:

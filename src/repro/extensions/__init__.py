@@ -8,15 +8,14 @@ and the related-work baselines §X compares against:
 * :mod:`repro.extensions.genetic_offload` — a Rahman-et-al.-style
   genetic-algorithm placement planner, the static baseline Algorithm 1
   is contrasted with;
-* :mod:`repro.extensions.multi_wap` — access-point selection among
-  several WAPs (the prior-work robustness approach that needs multiple
-  links to exist);
 * :mod:`repro.extensions.vision` — the vision-based LGV adaptation:
   localization-failure risk grows with speed, adding a second velocity
   constraint.
 
 Fleet sizing — several LGVs sharing one server — lives in the serving
-stack, as :mod:`repro.cloud.fleet`.
+stack, as :mod:`repro.cloud.fleet`. Roaming among several WAPs, the
+§X robustness approach that needs multiple links to exist, is
+:meth:`repro.network.fabric.FleetRadioNetwork.reassociate`.
 """
 
 from repro.extensions.dvfs import DvfsPolicy, optimal_frequency
@@ -25,7 +24,6 @@ from repro.extensions.genetic_offload import (
     PlacementGenome,
     PredictedCost,
 )
-from repro.extensions.multi_wap import AccessPointSelector, MultiWapLink
 from repro.extensions.vision import (
     VisionLocalizationModel,
     vision_safe_velocity,
@@ -37,8 +35,6 @@ __all__ = [
     "GeneticOffloadPlanner",
     "PlacementGenome",
     "PredictedCost",
-    "AccessPointSelector",
-    "MultiWapLink",
     "VisionLocalizationModel",
     "vision_safe_velocity",
 ]

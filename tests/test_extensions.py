@@ -1,24 +1,18 @@
-"""Tests for the §IX/§X extensions: DVFS, GA planner, multi-WAP, vision, fleet."""
+"""Tests for the §IX/§X extensions: DVFS, GA planner, vision, fleet."""
 
 
-import numpy as np
 import pytest
 
 from repro.compute.platform import CLOUD_SERVER, EDGE_GATEWAY
 from repro.cloud.fleet import FleetServerModel, size_fleet
 from repro.extensions import (
-    AccessPointSelector,
     DvfsPolicy,
     GeneticOffloadPlanner,
-    MultiWapLink,
     PlacementGenome,
     VisionLocalizationModel,
     optimal_frequency,
     vision_safe_velocity,
 )
-from repro.network.signal import WapSite
-from repro.network.udp import UdpChannel
-from repro.sim.rng import seeded_rng
 
 NAV = {
     "localization": 0.18e9,
@@ -111,66 +105,6 @@ class TestGeneticOffload:
     def test_invalid_population(self):
         with pytest.raises(ValueError):
             self.make().plan(population=2)
-
-
-class TestAccessPointSelection:
-    def make(self, xy=(0.0, 0.0)):
-        pos = list(xy)
-        waps = [WapSite(0.0, 0.0), WapSite(30.0, 0.0)]
-        sel = AccessPointSelector(waps, lambda: (pos[0], pos[1]))
-        return sel, pos
-
-    def test_starts_on_nearest(self):
-        sel, _ = self.make((2.0, 0.0))
-        assert sel.current == 0
-        sel2, _ = self.make((28.0, 0.0))
-        assert sel2.current == 1
-
-    def test_roams_when_other_wap_much_stronger(self):
-        sel, pos = self.make((2.0, 0.0))
-        pos[0] = 28.0
-        assert sel.update(now=10.0) == 1
-        assert len(sel.handovers) == 1
-        assert sel.handovers[0].from_wap == 0
-
-    def test_hysteresis_prevents_pingpong(self):
-        sel, pos = self.make((14.0, 0.0))
-        first = sel.current
-        # midpoint wobble: neither side is 6 dB stronger
-        for t, x in enumerate((15.2, 14.2, 15.4, 14.4)):
-            pos[0] = x
-            sel.update(float(t))
-        assert sel.handovers == []
-        assert sel.current == first
-
-    def test_handover_outage_window(self):
-        sel, pos = self.make((2.0, 0.0))
-        pos[0] = 28.0
-        sel.update(10.0)
-        assert sel.in_outage(10.3)
-        assert not sel.in_outage(11.5)
-
-    def test_multiwap_link_recovers_coverage(self):
-        """With two WAPs, the far end of the arena keeps service."""
-        pos = [2.0, 0.0]
-        sel = AccessPointSelector(
-            [WapSite(0.0, 0.0), WapSite(30.0, 0.0)], lambda: (pos[0], pos[1])
-        )
-        link = MultiWapLink(sel, seeded_rng(1))
-        udp = UdpChannel(link)
-        delivered_far = 0
-        for i, x in enumerate(np.linspace(2, 28, 100)):
-            pos[0] = float(x)
-            link.tick(i * 0.2)
-            if udp.send(500, i * 0.2) is not None and x > 20:
-                delivered_far += 1
-        assert delivered_far > 10  # single-WAP would deliver ~0 out there
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            AccessPointSelector([], lambda: (0, 0))
-        with pytest.raises(ValueError):
-            AccessPointSelector([WapSite(0, 0)], lambda: (0, 0), hysteresis_db=-1)
 
 
 class TestVision:

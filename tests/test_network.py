@@ -546,6 +546,29 @@ class TestFleetRadioNetwork:
         net.reassociate("r0")
         assert link.rng is rng_before
 
+    @staticmethod
+    def _far_deliveries(waps):
+        """Datagrams delivered beyond x = 20 m on a 2 -> 28 m drive that
+        re-picks the nearest WAP before each of its 120 sends."""
+        from repro.network import FleetRadioNetwork
+
+        net = FleetRadioNetwork(waps, seed=1)
+        pos = [2.0, 0.0]
+        net.attach("r0", lambda: (pos[0], pos[1]))
+        far = 0
+        for i, x in enumerate(np.linspace(2, 28, 120)):
+            pos[0] = float(x)
+            net.reassociate("r0")
+            if net.uplink_latency("r0", 500, i * 0.2) is not None and x > 20:
+                far += 1
+        return far
+
+    def test_roaming_keeps_the_far_end_covered(self):
+        """§X's prior-work robustness: a second WAP to roam to serves the
+        far end of the drive, which one WAP leaves a dead zone."""
+        assert self._far_deliveries((WapSite(0.0, 0.0), WapSite(30.0, 0.0))) > 10
+        assert self._far_deliveries((WapSite(0.0, 0.0),)) == 0
+
     def test_set_blocked_covers_future_attaches(self):
         net = self._net()
         net.attach("r0", (2.0, 1.0))
