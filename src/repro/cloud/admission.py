@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.cloud.request import TickRequest
 from repro.compute.executor import DWA_PROFILE, ParallelProfile
 from repro.control.velocity_law import max_velocity_oa
 
@@ -227,16 +226,3 @@ class AdmissionController:
                 projected_p95_s=p95,
             )
         return d
-
-    def build_request(self, spec_name: str, seq: int, now: float) -> TickRequest:
-        """A tick request for an admitted tenant at its granted width."""
-        spec = self.admitted[spec_name]
-        return TickRequest(
-            tenant=spec.name,
-            seq=seq,
-            cycles=spec.cycles,
-            threads=spec.threads,
-            deadline_s=spec.deadline_s,
-            issued_at=now,
-            profile=spec.profile,
-        )

@@ -669,17 +669,6 @@ class TestAdmissionController:
         d = ac.request_admission(TenantSpec("r00", **self.SPEC))
         assert not d.admitted and d.reason == "no live workers"
 
-    def test_build_request_uses_granted_width(self):
-        ac = self._controller()
-        for i in range(10):
-            ac.request_admission(TenantSpec(f"r{i:02d}", **self.SPEC))
-        downgraded = [d for d in ac.decisions if d.downgraded]
-        assert downgraded
-        name = downgraded[0].tenant
-        r = ac.build_request(name, seq=1, now=2.0)
-        assert r.threads == downgraded[0].threads < 8
-        assert r.issued_at == 2.0
-
 
 class TestFleetCrossValidation:
     """Satellite 1: the DES processor-sharing worker agrees with the
