@@ -187,10 +187,10 @@ class OffloadingFramework:
                 self._retreated = True
                 action = f"algo2:retreat({len(pulled)})"
             elif decision is QualityDecision.GO_REMOTE and self._retreated:
+                # Under either goal the return re-offloads every ECN:
+                # Algorithm 1's first step (``initial_plan``).
                 plan = MigrationPlan(
-                    to_server=self.classification.offload_for_energy
-                    if self.config.goal is OffloadingGoal.ENERGY
-                    else self.classification.offload_for_energy,
+                    to_server=self.classification.offload_for_energy,
                     to_robot=(),
                     vdp_time_s=sample.cloud_s,
                 )
