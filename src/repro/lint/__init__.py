@@ -6,10 +6,10 @@ one invariant: *a mission is a pure function of its seed*. Code under
 ``src/repro`` must therefore never read wall-clock time, draw unseeded
 randomness, or let order-unstable iteration reach simulator state or
 serialized output. ``repro.lint`` turns that convention into a
-machine-checked gate: a flow-aware analysis suite (stdlib :mod:`ast`,
-no third-party dependencies) built from per-file checkers, a
-per-function CFG (:mod:`repro.lint.cfg`), and a project-wide call
-graph (:mod:`repro.lint.callgraph`), run via ``python -m repro lint``.
+machine-checked gate: one per-file pass (stdlib :mod:`ast`, no
+third-party dependencies) whose flow-sensitive checkers share a
+per-function CFG (:mod:`repro.lint.cfg`), run via
+``python -m repro lint``.
 
 Checker codes
 -------------
@@ -19,7 +19,6 @@ DET001    wall-clock reads (``time.time``/``perf_counter``/…)
 DET002    global ``random`` module or direct ``numpy.random`` use
 DET003    iteration over sets / object-identity dict keys
 DET004    ambient entropy (``os.environ``/``os.urandom``/``uuid4``)
-DET005    sim callback *transitively* reaches entropy (call chain)
 RES001    acquire may escape a CFG path without its paired release
 PRO001    2PC phase method exits without advance/abort/finalize
 SIM001    reentrant ``Simulator.run`` from an event callback
@@ -39,11 +38,8 @@ fire; ``repro lint --fix-suppressions`` rewrites those away. See
 
 from __future__ import annotations
 
-from repro.lint.baseline import filter_new, load_baseline, write_baseline
 from repro.lint.cache import LintCache
-from repro.lint.callgraph import ProjectIndex, module_summary
 from repro.lint.cfg import CFG, build_cfg
-from repro.lint.closure import DeterminismClosure
 from repro.lint.determinism import (
     AmbientEntropyChecker,
     OrderStableIterChecker,
@@ -55,8 +51,6 @@ from repro.lint.engine import (
     DEFAULT_ALLOWLIST,
     KNOWN_CODES,
     LintRun,
-    lint_file,
-    lint_paths,
     lint_source,
     run_lint,
 )
@@ -78,14 +72,12 @@ __all__ = [
     "DEFAULT_ALLOWLIST",
     "KNOWN_CODES",
     "AmbientEntropyChecker",
-    "DeterminismClosure",
     "EventLifecycleChecker",
     "FloatEqChecker",
     "LintCache",
     "LintRun",
     "MutableDefaultChecker",
     "OrderStableIterChecker",
-    "ProjectIndex",
     "ProtocolFSMChecker",
     "RandomnessChecker",
     "ReentrantRunChecker",
@@ -95,13 +87,7 @@ __all__ = [
     "Violation",
     "WallClockChecker",
     "build_cfg",
-    "filter_new",
     "fix_suppressions",
-    "lint_file",
-    "lint_paths",
     "lint_source",
-    "load_baseline",
-    "module_summary",
     "run_lint",
-    "write_baseline",
 ]

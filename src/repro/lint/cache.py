@@ -1,14 +1,13 @@
 """Incremental lint cache: per-file results keyed by content hash.
 
-A file's *raw* analysis — its pre-suppression violations plus its
-call-graph :func:`~repro.lint.callgraph.module_summary` — depends only
-on its bytes and on which checkers ran. Both are JSON, so the engine
-persists them under ``.lint-cache/`` keyed by
+A file's *raw* analysis — its pre-suppression violations — depends
+only on its bytes and on which checkers ran. It is JSON, so the engine
+persists it under ``.lint-cache/`` keyed by
 ``sha256(schema | checker codes | file bytes)`` and re-parses only the
 files that changed since the last run. Everything contextual —
-suppression filtering, the allowlist, the DET005 closure, LNT001 —
-is recomputed live from the cached summaries, which is what keeps a
-warm full-repo run well inside the CI runtime budget.
+suppression filtering, the allowlist, LNT001 — is recomputed live,
+which is what keeps a warm full-repo run well inside the CI runtime
+budget.
 
 Bump :data:`SCHEMA` whenever a checker's behaviour changes; stale
 entries are simply never read again (the directory is disposable —
@@ -21,7 +20,6 @@ import hashlib
 import json
 from collections.abc import Iterable
 from pathlib import Path
-from typing import Any
 
 from repro.lint.violations import Violation
 
@@ -49,8 +47,8 @@ class LintCache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def load(self, key: str) -> tuple[list[Violation], dict[str, Any]] | None:
-        """Cached ``(raw violations, module summary)``, or None."""
+    def load(self, key: str) -> list[Violation] | None:
+        """Cached raw violations, or None."""
         try:
             payload = json.loads(self._path(key).read_text())
         except (OSError, ValueError):
@@ -58,21 +56,15 @@ class LintCache:
             return None
         try:
             violations = [Violation(**v) for v in payload["violations"]]
-            summary = payload["summary"]
         except (KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
-        return violations, summary
+        return violations
 
-    def store(
-        self, key: str, violations: list[Violation], summary: dict[str, Any]
-    ) -> None:
+    def store(self, key: str, violations: list[Violation]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "violations": [v.to_json() for v in violations],
-            "summary": summary,
-        }
+        payload = {"violations": [v.to_json() for v in violations]}
         tmp = self._path(key).with_suffix(".tmp")
         try:
             tmp.write_text(json.dumps(payload))

@@ -2,10 +2,9 @@
 
 Exit status is 0 when clean, 1 when violations were found, 2 on usage
 or parse errors — so CI can gate on it directly. The cache under
-``.lint-cache/`` is on by default (``--no-cache`` for a cold run);
-``--baseline``/``--write-baseline`` let a new checker land before its
-sweep finishes, and ``--fix-suppressions`` rewrites stale
-``# lint: ok(...)`` comments in place.
+``.lint-cache/`` is on by default (``--no-cache`` for a cold run), and
+``--fix-suppressions`` rewrites stale ``# lint: ok(...)`` comments in
+place.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import filter_new, load_baseline, write_baseline
 from repro.lint.engine import KNOWN_CODES, run_lint
 from repro.lint.suppress import fix_suppressions
 
@@ -42,18 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="CODES",
         default=None,
         help="comma-separated checker codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="fail only on violations not recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="record the current violations to FILE and exit 0",
     )
     parser.add_argument(
         "--fix-suppressions",
@@ -115,30 +101,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    if args.write_baseline:
-        write_baseline(run.violations, args.write_baseline)
-        print(
-            f"repro lint: baseline of {len(run.violations)} violation"
-            f"{'s' if len(run.violations) != 1 else ''} "
-            f"written to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    violations = run.violations
-    if args.baseline:
-        try:
-            violations = filter_new(violations, load_baseline(args.baseline))
-        except (OSError, ValueError) as exc:
-            print(f"repro lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-
     if args.format == "json":
-        print(json.dumps([v.to_json() for v in violations], indent=2))
+        print(json.dumps([v.to_json() for v in run.violations], indent=2))
     else:
-        for v in violations:
+        for v in run.violations:
             print(v.render())
-        n = len(violations)
+        n = len(run.violations)
         summary = (
             f"repro lint: {n} violation{'s' if n != 1 else ''} found"
             if n
@@ -147,4 +115,4 @@ def main(argv: list[str] | None = None) -> int:
         if run.cache is not None:
             summary += f" ({run.cache.hits} cached, {run.cache.misses} analyzed)"
         print(summary, file=sys.stderr)
-    return 1 if violations else 0
+    return 1 if run.violations else 0
