@@ -3,8 +3,9 @@
 §II notes LGVs operate "in a group"; §VIII-E closes by arguing for
 saving "financial cost and resource usage on the cloud servers". This
 model quantifies the server side: N robots each stream their ECN work
-to one server — how many can it carry before their VDP makespans (and
-hence Eq. 2c velocities) degrade below the local baseline?
+to one server — how many can it carry before it saturates or their VDP
+makespans (and hence Eq. 2c velocities) degrade below the local
+baseline?
 
 Contention model: each robot's offloaded ticks need ``threads`` cores
 for ``exec_time`` seconds at ``tick_rate``; when the aggregate
@@ -115,15 +116,17 @@ class FleetServerModel:
 
 
 def size_fleet(model: FleetServerModel, max_robots: int = 256) -> int:
-    """Largest fleet for which offloading still beats local compute.
+    """Largest fleet the server carries while offloading beats local.
 
-    Returns 0 when even a single robot gains nothing (e.g. terrible
-    network latency).
+    A fleet counts only while the server is not oversubscribed
+    (utilization <= 1): past that an open-loop pool has no steady
+    state, since its backlog grows without bound. Returns 0 when even a
+    single robot gains nothing (e.g. terrible network latency).
     """
     best = 0
     for n in range(1, max_robots + 1):
-        if model.service_time(n).beats_local:
-            best = n
-        else:
+        p = model.service_time(n)
+        if p.utilization > 1.0 or not p.beats_local:
             break
+        best = n
     return best

@@ -1,6 +1,9 @@
 """Tests for the §IX/§X extensions: DVFS, GA planner, vision, fleet."""
 
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.compute.platform import CLOUD_SERVER, EDGE_GATEWAY
@@ -13,6 +16,8 @@ from repro.extensions import (
     optimal_frequency,
     vision_safe_velocity,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 NAV = {
     "localization": 0.18e9,
@@ -163,8 +168,22 @@ class TestFleet:
         m = FleetServerModel()
         n = size_fleet(m)
         assert n >= 1
-        assert m.service_time(n).beats_local
-        assert not m.service_time(n + 1).beats_local or n == 256
+        at, past = m.service_time(n), m.service_time(n + 1)
+        assert at.utilization <= 1.0 and at.beats_local
+        assert past.utilization > 1.0 or not past.beats_local
+
+    def test_size_fleet_matches_des_admit_all_knee(self):
+        # the committed DES fleet curve serves the default model's
+        # server, tick rate and pool width over the same wired latency
+        bench = json.loads((ROOT / "BENCH_fleet_capacity.json").read_text())
+        m = FleetServerModel()
+        meta = bench["meta"]
+        assert (meta["server"], meta["threads"], meta["tick_rate_hz"]) == (
+            m.server.name,
+            m.threads,
+            m.tick_rate_hz,
+        )
+        assert size_fleet(m) == bench["capacity_admit_all"]
 
     def test_terrible_network_supports_nobody(self):
         m = FleetServerModel(network_latency_s=3.0)
