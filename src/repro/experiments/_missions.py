@@ -41,11 +41,6 @@ class Deployment:
     server: str  # gateway | cloud
     threads: int
 
-    @property
-    def is_local(self) -> bool:
-        """True for the no-offloading baseline."""
-        return self.placement == "all_local"
-
 
 #: The five deployments of Figs. 12-13.
 DEPLOYMENTS: tuple[Deployment, ...] = (

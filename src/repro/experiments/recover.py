@@ -65,16 +65,6 @@ class RecoveryResult:
         """Every mission completed, faulted or not."""
         return all(c.success for c in self.cells)
 
-    @property
-    def clean_run_quiet(self) -> bool:
-        """The fault-free control triggered no recovery machinery."""
-        c = self.cell("no_fault")
-        return (
-            c.lease_expiries == 0
-            and c.migrations_aborted == 0
-            and c.restored_from_checkpoint + c.restored_fresh == 0
-        )
-
     def render(self) -> str:
         """Plain-text summary table."""
         lines = [

@@ -128,12 +128,6 @@ class Graph:
         if node not in self._subs[topic]:
             self._subs[topic].append(node)
 
-    def node_host(self, name: str) -> Host:
-        """The host a node currently runs on."""
-        node = self.nodes[name]
-        assert node.host is not None
-        return node.host
-
     # ------------------------------------------------------------------
     # Pub/sub
     # ------------------------------------------------------------------

@@ -200,13 +200,6 @@ class LayeredCostmap:
         """Combined lethal mask of static + obstacle layers."""
         return self._static_lethal | self._obstacle_lethal
 
-    def as_grid(self) -> OccupancyGrid:
-        """Snapshot as an OccupancyGrid (for planners wanting occupancy)."""
-        data = np.where(
-            self.lethal_mask(), np.int8(CellState.OCCUPIED), np.int8(CellState.FREE)
-        )
-        return OccupancyGrid(data, self.resolution, self.origin)
-
 
 class CostmapSnapshot:
     """An immutable costmap view reconstructed from a GridMsg payload.

@@ -46,13 +46,6 @@ class MissionResult:
         """Robot-side mission energy (Eq. 1a)."""
         return self.energy.total_j()
 
-    @property
-    def average_velocity(self) -> float:
-        """Distance over time."""
-        if self.completion_time_s <= 0:
-            return 0.0
-        return self.distance_m / self.completion_time_s
-
 
 class MissionRunner:
     """Drives a built workload to completion.

@@ -116,11 +116,6 @@ class OccupancyGrid:
         """Map width (x) in meters."""
         return self.cols * self.resolution
 
-    @property
-    def height_m(self) -> float:
-        """Map height (y) in meters."""
-        return self.rows * self.resolution
-
     def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
         """World (x, y) in meters -> (row, col). No bounds check."""
         col = int(np.floor((x - self.origin.x) / self.resolution + 0.5))
@@ -144,13 +139,6 @@ class OccupancyGrid:
     def in_bounds(self, row: int, col: int) -> bool:
         """Whether (row, col) indexes a real cell."""
         return 0 <= row < self.rows and 0 <= col < self.cols
-
-    def in_bounds_mask(self, cells: np.ndarray) -> np.ndarray:
-        """Vectorized bounds check for an (N, 2) [row, col] array."""
-        c = np.asarray(cells)
-        return (
-            (c[:, 0] >= 0) & (c[:, 0] < self.rows) & (c[:, 1] >= 0) & (c[:, 1] < self.cols)
-        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -189,12 +177,6 @@ class OccupancyGrid:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def set_state_world(self, x: float, y: float, state: CellState) -> None:
-        """Set the cell containing the world point; out of bounds ignored."""
-        row, col = self.world_to_cell(x, y)
-        if self.in_bounds(row, col):
-            self.data[row, col] = int(state)
-
     def fill_rect_world(
         self, x0: float, y0: float, x1: float, y1: float, state: CellState
     ) -> None:
