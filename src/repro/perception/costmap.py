@@ -10,15 +10,18 @@ CostmapGen node:
   lethal cell out to the inflation radius, so planners keep clearance.
 
 Both passes are fully vectorized, per the HPC guide's no-Python-loops
-rule: clearing traces every beam in one lockstep integer Bresenham pass
-(:func:`~repro.world.raycast.trace_lines`) and clears all its cells
-with one scatter; inflation is one distance transform
+rule: clearing traces every beam in one closed-form integer Bresenham
+pass (:func:`~repro.world.raycast.trace_lines`) and clears all its
+cells with one scatter; inflation is a distance transform
 (:func:`scipy.ndimage.distance_transform_edt`) plus a masked
-exponential.
+exponential, run only over the window that the cells whose lethal
+state changed can reach. The window's costs go into a copy of the cost
+array, never into the array a published message may still hold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +91,14 @@ class LayeredCostmap:
         self.inflation = inflation
         self._obstacle_lethal = np.zeros((rows, cols), dtype=bool)
         self.cost = np.zeros((rows, cols), dtype=np.uint8)
+        #: The combined lethal mask ``cost`` was computed from; ``None``
+        #: makes the next recompute cover the whole map.
+        self._lethal: np.ndarray | None = None
+        # A cell's cost depends only on lethal cells within this many
+        # cells of it (Chebyshev), since both radii bound its nonzero costs.
+        self._pad = math.ceil(
+            max(inflation.robot_radius_m, inflation.inflation_radius_m) / resolution
+        )
         self.updates = 0
         self._recompute()
 
@@ -129,8 +140,8 @@ class LayeredCostmap:
         mrows = np.floor((mey - self.origin.y) / res + 0.5).astype(np.int64)
         mcols = np.floor((mex - self.origin.x) / res + 0.5).astype(np.int64)
 
-        # Clear along every beam in one lockstep Bresenham pass: a
-        # return's own cell is kept, a max-range beam's far cell cleared.
+        # Clear along every beam in one Bresenham pass: a return's own
+        # cell is kept, a max-range beam's far cell cleared.
         rr, cc = trace_lines(
             r0,
             c0,
@@ -154,8 +165,43 @@ class LayeredCostmap:
         self._recompute()
 
     def _recompute(self) -> None:
+        """Re-inflate around the cells whose lethal state changed.
+
+        Only cells within ``pad`` of a changed cell can change cost, and
+        their nearest lethal cells within the radius lie within
+        ``2 * pad`` of it, so the distance transform runs on the changed
+        cells' bounding box dilated by ``2 * pad`` and the box dilated by
+        ``pad`` is written back. Distances depend only on integer
+        offsets, so the window gives those cells the costs a whole-map
+        transform gives them.
+        """
         lethal = self._static_lethal | self._obstacle_lethal
-        cost = np.zeros_like(self.cost, dtype=np.uint8)
+        if self._lethal is None:
+            self.cost = self._inflate(lethal)
+            self._lethal = lethal
+            return
+        changed = lethal ^ self._lethal
+        self._lethal = lethal
+        rows = np.flatnonzero(changed.any(axis=1))
+        if rows.size == 0:
+            return
+        cols = np.flatnonzero(changed.any(axis=0))
+        pad = self._pad
+        r0, r1 = int(rows[0]), int(rows[-1]) + 1
+        c0, c1 = int(cols[0]), int(cols[-1]) + 1
+        er0, er1 = max(r0 - 2 * pad, 0), min(r1 + 2 * pad, self.rows)
+        ec0, ec1 = max(c0 - 2 * pad, 0), min(c1 + 2 * pad, self.cols)
+        wr0, wr1 = max(r0 - pad, 0), min(r1 + pad, self.rows)
+        wc0, wc1 = max(c0 - pad, 0), min(c1 + pad, self.cols)
+        window = self._inflate(lethal[er0:er1, ec0:ec1])
+        # A copy: a published GridMsg may still hold the old array.
+        cost = self.cost.copy()
+        cost[wr0:wr1, wc0:wc1] = window[wr0 - er0 : wr1 - er0, wc0 - ec0 : wc1 - ec0]
+        self.cost = cost
+
+    def _inflate(self, lethal: np.ndarray) -> np.ndarray:
+        """Costs of a lethal mask's cells, as if it were the whole map."""
+        cost = np.zeros(lethal.shape, dtype=np.uint8)
         if lethal.any():
             # Distance (m) from every cell to the nearest lethal cell.
             dist = ndimage.distance_transform_edt(~lethal, sampling=self.resolution)
@@ -169,7 +215,7 @@ class LayeredCostmap:
             cost = cost_f.astype(np.uint8)
             cost[inside] = CostValues.INSCRIBED
             cost[lethal] = CostValues.LETHAL
-        self.cost = cost
+        return cost
 
     # ------------------------------------------------------------------
     # Queries

@@ -273,6 +273,7 @@ class CostmapGenNode(Node):
             return
         self.costmap.cost = state["cost"].copy()
         self.costmap._obstacle_lethal = state["obstacle_lethal"].copy()
+        self.costmap._lethal = None
         self._pose = state["pose"]
 
 

@@ -6,10 +6,12 @@ rays, and both reproduce their scalar definitions bit for bit:
 * :func:`cast_rays` marches every ray in fixed world-space steps of
   half a cell. The ``(N, steps)`` grid of sample points is built with
   ``np.add.accumulate``, which sums left to right, so every sample is
-  the same float as the running ``px += dx`` of a one-ray march; each
-  ray's first blocking sample is found with ``argmax``.
-* :func:`trace_lines` runs the integer Bresenham recurrence for all
-  lines in lockstep, one numpy step per cell along the longest line.
+  the same float as the running ``px += dx`` of a one-ray march. Its
+  cells are read from a copy of the grid with a one-cell occupied
+  border, into which every off-grid sample is clipped; each ray's
+  first blocking sample is found with ``argmax``.
+* :func:`trace_lines` evaluates the closed form of the integer
+  Bresenham recurrence for every line and step in one broadcast.
 """
 
 from __future__ import annotations
@@ -63,10 +65,19 @@ def cast_rays(
 
     r = _sample_cells(y, np.sin(angles) * step, n_steps, grid.origin.y, grid.resolution)
     c = _sample_cells(x, np.cos(angles) * step, n_steps, grid.origin.x, grid.resolution)
-    inb = (r >= 0) & (r < grid.rows) & (c >= 0) & (c < grid.cols)
+    # The world border is solid: every off-grid sample clips into the
+    # occupied frame around a copy of the grid (grids are mutable, so
+    # the copy is made on every call).
     occupied = int(CellState.OCCUPIED)
-    vals = np.full(r.shape, occupied, dtype=np.int8)  # world border is solid
-    vals[inb] = grid.data[r[inb], c[inb]]
+    framed = np.full((grid.rows + 2, grid.cols + 2), occupied, dtype=grid.data.dtype)
+    framed[1:-1, 1:-1] = grid.data
+    r += 1
+    np.clip(r, 0, grid.rows + 1, out=r)
+    c += 1
+    np.clip(c, 0, grid.cols + 1, out=c)
+    r *= grid.cols + 2  # r becomes the flat index into the frame
+    r += c
+    vals = framed.take(r)
     hit = vals == occupied
     if hit_unknown:
         hit |= vals == int(CellState.UNKNOWN)
@@ -112,36 +123,33 @@ def trace_lines(
     ``dr = |r1 - r0|``, ``dc = |c1 - c0|`` and ``err = dc - dr``, each
     step computes ``e2 = 2 * err``, moves one column (``err -= dr``)
     if ``e2 > -dr`` and one row (``err += dc``) if ``e2 < dc``. A line
-    reaches its endpoint after exactly ``max(dr, dc)`` steps; all lines
-    take their steps in lockstep.
+    reaches its endpoint after exactly ``max(dr, dc)`` steps.
+
+    The recurrence has a closed form, evaluated for every line and step
+    at once: along its major axis a line moves one cell per step, and
+    after ``k`` steps it has moved
+    ``#{j >= 0 : (2j + 1) * major < 2k * minor}`` cells along its minor
+    axis (``dr == dc`` moves both axes every step).
 
     Line ``k`` contributes its cells from (r0,c0) on, without its
     endpoint unless ``include_end[k]``, kept where they fall inside a
     ``shape = (rows, cols)`` grid; endpoints may lie off the grid.
-    Returns ``(rows, cols)`` index arrays, with repeats where lines
-    share cells.
+    Returns ``(rows, cols)`` index arrays, ordered by step and then by
+    line, with repeats where lines share cells.
     """
     r1 = np.asarray(r1, dtype=np.int64)
     c1 = np.asarray(c1, dtype=np.int64)
     dr = np.abs(r1 - r0)
     dc = np.abs(c1 - c0)
-    sr = np.where(r1 >= r0, 1, -1)
-    sc = np.where(c1 >= c0, 1, -1)
     length = np.maximum(dr, dc)
     n_steps = int(length.max()) if length.size else 0
-    # cells[k] is every line's cell after k steps
-    rows = np.empty((n_steps + 1, len(r1)), dtype=np.int64)
-    cols = np.empty_like(rows)
-    rows[0], cols[0] = r0, c0
-    err = dc - dr
-    for k in range(1, n_steps + 1):
-        e2 = 2 * err
-        step_c = e2 > -dr
-        step_r = e2 < dc
-        err += dc * step_r - dr * step_c
-        cols[k] = cols[k - 1] + sc * step_c
-        rows[k] = rows[k - 1] + sr * step_r
+    # row k holds every line's cell after k steps
     k = np.arange(n_steps + 1)[:, None]
+    # ceil((2k * minor - major) / (2 * major)), at least 0
+    minor_moved = -((length - 2 * k * np.minimum(dr, dc)) // (2 * np.maximum(length, 1)))
+    np.maximum(minor_moved, 0, out=minor_moved)
+    rows = r0 + np.where(r1 >= r0, 1, -1) * np.where(dr >= dc, k, minor_moved)
+    cols = c0 + np.where(c1 >= c0, 1, -1) * np.where(dc >= dr, k, minor_moved)
     on_line = (k < length) | ((k == length) & include_end)
     rr, cc = rows[on_line], cols[on_line]
     ok = (rr >= 0) & (rr < shape[0]) & (cc >= 0) & (cc < shape[1])

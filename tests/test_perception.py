@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
+from repro.middleware.messages import ScanMsg
 from repro.perception import (
     Amcl,
     AmclConfig,
@@ -14,7 +17,7 @@ from repro.perception import (
     costmap_update_cycles,
 )
 from repro.perception.amcl import amcl_update_cycles
-from repro.perception.costmap import CostmapSnapshot
+from repro.perception.costmap import CostmapSnapshot, InflationConfig
 from repro.perception.gmapping import gmapping_scan_cycles
 from repro.sim.rng import seeded_rng
 from repro.vehicle import LGV
@@ -102,6 +105,137 @@ class TestLayeredCostmap:
         assert costmap_update_cycles(360, 40000) > costmap_update_cycles(90, 40000)
         with pytest.raises(ValueError):
             costmap_update_cycles(-1, 0)
+
+
+def _reference_cost(cm):
+    """LayeredCostmap._recompute as it inflated the whole map on every update."""
+    lethal = cm.lethal_mask()
+    cost = np.zeros_like(cm.cost, dtype=np.uint8)
+    if lethal.any():
+        dist = ndimage.distance_transform_edt(~lethal, sampling=cm.resolution)
+        infl = cm.inflation
+        cost_f = np.zeros_like(dist)
+        inside = dist <= infl.robot_radius_m
+        ring = (~inside) & (dist <= infl.inflation_radius_m)
+        cost_f[ring] = (CostValues.INSCRIBED - 1) * np.exp(
+            -infl.cost_scaling * (dist[ring] - infl.robot_radius_m)
+        )
+        cost = cost_f.astype(np.uint8)
+        cost[inside] = CostValues.INSCRIBED
+        cost[lethal] = CostValues.LETHAL
+    return cost
+
+
+def _random_grid(rng, shape, resolution, p_occupied):
+    data = np.where(rng.random(shape) < p_occupied, CellState.OCCUPIED, CellState.FREE)
+    return OccupancyGrid(data.astype(np.int8), resolution, Pose2D())
+
+
+class TestWindowedInflation:
+    @given(
+        resolution=st.sampled_from([0.025, 0.05, 0.1, 0.25]),
+        inflation=st.sampled_from(
+            [
+                InflationConfig(),
+                InflationConfig(robot_radius_m=0.2, inflation_radius_m=0.6, cost_scaling=3.0),
+                InflationConfig(robot_radius_m=0.05, inflation_radius_m=0.15, cost_scaling=15.0),
+                # radii that are whole multiples of a resolution: a cell
+                # exactly ``pad`` cells from a lethal one still has a cost
+                InflationConfig(robot_radius_m=0.25, inflation_radius_m=0.5, cost_scaling=4.0),
+                # the robot radius alone reaches past the inflation radius
+                InflationConfig(robot_radius_m=0.5, inflation_radius_m=0.25),
+            ]
+        ),
+        shape=st.tuples(st.integers(4, 64), st.integers(4, 64)),
+        with_static=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(
+            st.sampled_from(["flip", "replace", "static", "scan", "snapshot", "restore", "none"]),
+            min_size=1,
+            max_size=14,
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_whole_map_inflation(
+        self, resolution, inflation, shape, with_static, seed, ops
+    ):
+        from repro.workloads.pipeline import CostmapGenNode
+
+        rng = np.random.default_rng(seed)
+        rows, cols = shape
+        if with_static:
+            cm = LayeredCostmap(
+                static_map=_random_grid(rng, shape, resolution, 0.02), inflation=inflation
+            )
+        else:
+            cm = LayeredCostmap(rows=rows, cols=cols, resolution=resolution, inflation=inflation)
+        node = CostmapGenNode(cm)
+        world = _random_grid(rng, shape, resolution, 0.01)
+        lidar = Lidar(world)
+        snap = None
+        assert cm.cost.tobytes() == _reference_cost(cm).tobytes()
+        for op in ops:
+            if op == "flip":  # a few cells near each other change state
+                r, c = int(rng.integers(rows)), int(rng.integers(cols))
+                h, w = rng.integers(1, 4, size=2)
+                block = cm._obstacle_lethal[r : r + h, c : c + w]
+                block ^= rng.random(block.shape) < 0.7
+                cm._recompute()
+            elif op == "replace":
+                cm._obstacle_lethal = rng.random(shape) < rng.choice([0.0, 0.01, 0.1])
+                cm._recompute()
+            elif op == "static":
+                cm.set_static_from(_random_grid(rng, shape, resolution, 0.02))
+            elif op == "scan":
+                xy = rng.uniform(0, 1, size=2) * [cols, rows] * resolution
+                pose = Pose2D(xy[0], xy[1], rng.uniform(-np.pi, np.pi))
+                node.on_scan(ScanMsg(scan=lidar.scan(pose)))
+            elif op == "snapshot":
+                snap = node.snapshot()
+            elif op == "restore":
+                node.restore(snap)
+                # restore rewrites the cost array itself; the next update
+                # must re-inflate the whole map, as the reference does
+                cm._recompute()
+            else:
+                cm._recompute()
+            assert cm.cost.tobytes() == _reference_cost(cm).tobytes(), op
+
+    def test_restore_then_scan_matches_whole_map_inflation(self):
+        from repro.workloads.pipeline import CostmapGenNode
+
+        world = box_world(8.0)
+        lidar = Lidar(world)
+        cm = LayeredCostmap(rows=120, cols=120, resolution=0.05)  # 6 m of the 8 m world
+        node = CostmapGenNode(cm)
+        poses = [Pose2D(1.5 + 0.4 * i, 2.0 + 0.2 * i, 0.3 * i) for i in range(8)]
+        node.on_scan(ScanMsg(scan=lidar.scan(poses[0])))
+        snap = node.snapshot()
+        for pose in poses[1:5]:
+            node.on_scan(ScanMsg(scan=lidar.scan(pose)))
+        node.restore(snap)
+        assert cm._lethal is None
+        for pose in poses[5:]:
+            node.on_scan(ScanMsg(scan=lidar.scan(pose)))
+            assert cm.cost.tobytes() == _reference_cost(cm).tobytes()
+
+    def test_published_costmap_keeps_its_bytes(self):
+        # a remote planner reads the GridMsg after the network delay,
+        # while the costmap keeps updating
+        from repro.workloads.pipeline import CostmapGenNode
+
+        world = open_world(8.0)
+        lidar = Lidar(world)
+        node = CostmapGenNode(LayeredCostmap(static_map=open_world(8.0)))
+        world.fill_rect_world(4.8, 3.9, 5.2, 4.1, CellState.OCCUPIED)
+        node.on_scan(ScanMsg(scan=lidar.scan(Pose2D(3.0, 4.0, 0.0))))
+        (_, published), = node._pub_buffer
+        held = published.data.tobytes()
+        world.fill_rect_world(4.8, 3.9, 5.2, 4.1, CellState.FREE)
+        world.fill_rect_world(4.8, 4.9, 5.2, 5.1, CellState.OCCUPIED)
+        node.on_scan(ScanMsg(scan=lidar.scan(Pose2D(3.0, 4.0, 0.3))))
+        assert node.costmap.cost.tobytes() != held  # the map did change
+        assert published.data.tobytes() == held
 
 
 class TestLikelihoodField:

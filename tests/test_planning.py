@@ -1,5 +1,8 @@
 """Tests for A*/Dijkstra search, the global planner, and frontier exploration."""
 
+import heapq
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from repro.planning import (
     find_frontiers,
     plan_cycles,
 )
-from repro.planning.search import path_length
+from repro.planning.search import _NEIGHBORS, COST_WEIGHT, path_length
 from repro.world import CellState, OccupancyGrid, Pose2D, box_world, open_world
 
 
@@ -29,6 +32,72 @@ def walled_grid(n=20):
     g[:, n // 2] = 254
     g[n // 2, n // 2] = 0  # the gap
     return g
+
+
+def _reference_search(cost, start, goal, lethal_threshold, heuristic_weight):
+    """The search as it indexed numpy arrays per cell: float64 costs,
+    (rows, cols) g and parent arrays, and (f, r, c) heap keys."""
+    cost = np.asarray(cost, dtype=np.float64)
+    rows, cols = cost.shape
+    sr, sc = start
+    gr, gc = goal
+    if not (0 <= sr < rows and 0 <= sc < cols):
+        raise PlanningError(f"start {start} out of bounds")
+    if not (0 <= gr < rows and 0 <= gc < cols):
+        raise PlanningError(f"goal {goal} out of bounds")
+    if cost[sr, sc] >= lethal_threshold:
+        raise PlanningError(f"start {start} is in lethal space")
+    if cost[gr, gc] >= lethal_threshold:
+        raise PlanningError(f"goal {goal} is in lethal space")
+
+    g = np.full((rows, cols), np.inf)
+    g[sr, sc] = 0.0
+    parent = np.full((rows, cols, 2), -1, dtype=np.int32)
+    closed = np.zeros((rows, cols), dtype=bool)
+
+    def h(r, c):
+        dr, dc = abs(r - gr), abs(c - gc)
+        return heuristic_weight * (max(dr, dc) + (math.sqrt(2) - 1) * min(dr, dc))
+
+    heap = [(h(sr, sc), sr, sc)]
+    while heap:
+        _, r, c = heapq.heappop(heap)
+        if closed[r, c]:
+            continue
+        closed[r, c] = True
+        if (r, c) == (gr, gc):
+            break
+        base = g[r, c]
+        for dr, dc, step in _NEIGHBORS:
+            nr, nc = r + dr, c + dc
+            if not (0 <= nr < rows and 0 <= nc < cols) or closed[nr, nc]:
+                continue
+            cell_cost = cost[nr, nc]
+            if cell_cost >= lethal_threshold:
+                continue
+            new_g = base + step * (1.0 + COST_WEIGHT * 0.5 * (cell_cost + cost[r, c]))
+            if new_g < g[nr, nc]:
+                g[nr, nc] = new_g
+                parent[nr, nc] = (r, c)
+                heapq.heappush(heap, (new_g + h(nr, nc), nr, nc))
+
+    if not closed[gr, gc]:
+        raise PlanningError(f"no path from {start} to {goal}")
+
+    path = [(gr, gc)]
+    r, c = gr, gc
+    while (r, c) != (sr, sc):
+        r, c = int(parent[r, c, 0]), int(parent[r, c, 1])
+        path.append((r, c))
+    path.reverse()
+    return path
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return repr(search(*args, **kwargs))
+    except PlanningError as exc:
+        return f"PlanningError: {exc}"
 
 
 class TestSearch:
@@ -89,6 +158,52 @@ class TestSearch:
         assert path[0] == (r0, c0) and path[-1] == (r1, c1)
         for (a, b), (c, d) in zip(path, path[1:]):
             assert max(abs(a - c), abs(b - d)) == 1
+
+    @given(
+        shape=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+        grid_seed=st.integers(0, 2**32 - 1),
+        # few distinct values: many equal-cost ties
+        values=st.sampled_from(
+            [(0,), (0, 1), (0, 40, 200, 252), (0.0, 0.5, 3.25, 252.75), tuple(range(253))]
+        ),
+        lethal_share=st.sampled_from([0.0, 0.1, 0.3]),
+        wall=st.sampled_from(["none", "closed", "gap"]),
+        as_float=st.booleans(),
+        lethal_threshold=st.sampled_from([253, 200, 256]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_indexed_reference(
+        self, shape, grid_seed, values, lethal_share, wall, as_float, lethal_threshold
+    ):
+        rng = np.random.default_rng(grid_seed)
+        dtype = np.float64 if as_float or isinstance(values[0], float) else np.uint8
+        cost = rng.choice(np.asarray(values, dtype=dtype), size=shape)
+        cost[rng.random(shape) < lethal_share] = 254
+        if wall != "none":
+            col = int(rng.integers(shape[1]))
+            cost[:, col] = 254
+            if wall == "gap":
+                cost[int(rng.integers(shape[0])), col] = values[0]
+        # mostly free endpoints on the grid; sometimes off it, in lethal
+        # space, or one cell for both
+        start, goal = [tuple(int(v) for v in rng.integers(0, shape)) for _ in range(2)]
+        if rng.random() < 0.1:
+            goal = start
+        for r, c in (start, goal):
+            if rng.random() < 0.8:
+                cost[r, c] = values[-1]
+        if rng.random() < 0.1:
+            goal = (goal[0], int(rng.choice([-1, shape[1]])))
+        for search, weight in ((astar, 1.0), (dijkstra, 0.0)):
+            got = _outcome(search, cost, start, goal, lethal_threshold=lethal_threshold)
+            want = _outcome(_reference_search, cost, start, goal, lethal_threshold, weight)
+            assert got == want
+
+    @pytest.mark.parametrize("search, weight", [(astar, 1.0), (dijkstra, 0.0)])
+    def test_matches_numpy_indexed_reference_on_a_costmap(self, search, weight):
+        cost = LayeredCostmap(static_map=box_world(8.0)).cost
+        for start, goal in [((20, 20), (140, 140)), ((140, 30), (30, 150)), ((80, 20), (80, 21))]:
+            assert search(cost, start, goal) == _reference_search(cost, start, goal, 253, weight)
 
     def test_path_length(self):
         assert path_length([(0, 0), (0, 3)], resolution=0.5) == pytest.approx(1.5)
