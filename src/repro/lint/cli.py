@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         for fs in run.files:
             stale = [
                 e
-                for e in fs.suppressions.stale_entries(frozenset({"*"} | KNOWN_CODES))
+                for e in fs.suppressions.stale_entries(run.checked)
                 if "LNT001" not in fs.exempt
             ]
             if stale:

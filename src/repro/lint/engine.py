@@ -132,12 +132,23 @@ class FileState:
 
 
 class LintRun:
-    """A finished run: the findings plus everything needed to act on them."""
+    """A finished run: the findings plus everything needed to act on them.
 
-    def __init__(self, violations: list[Violation], files: list[FileState], cache: LintCache | None) -> None:
+    ``checked`` holds the codes that ran, plus ``"*"`` when every
+    checker did: the codes whose suppressions this run can judge stale.
+    """
+
+    def __init__(
+        self,
+        violations: list[Violation],
+        files: list[FileState],
+        cache: LintCache | None,
+        checked: frozenset[str],
+    ) -> None:
         self.violations = violations
         self.files = files
         self.cache = cache
+        self.checked = checked
 
 
 def lint_source(
@@ -179,6 +190,7 @@ def run_lint(
     """
     per_file = _checkers(select)
     per_file_codes = frozenset(c.code for c in per_file)
+    checked = per_file_codes | ({"*"} if len(per_file) == len(ALL_CHECKERS) else set())
     run_stale = select is None or "LNT001" in select
 
     cache = LintCache(cache_dir) if cache_dir is not None else None
@@ -207,9 +219,6 @@ def run_lint(
         )
 
     if run_stale:
-        checked = per_file_codes
-        if len(per_file) == len(ALL_CHECKERS):
-            checked |= {"*"}
         for fs in states:
             if "LNT001" in fs.exempt:
                 continue
@@ -244,4 +253,4 @@ def run_lint(
                         )
                     )
 
-    return LintRun(sorted(set(violations)), states, cache)
+    return LintRun(sorted(set(violations)), states, cache, checked)

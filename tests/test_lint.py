@@ -996,6 +996,30 @@ class TestLnt001:
         assert "ok(DET001): wall display" in f.read_text()
         assert "SIM002" not in f.read_text()
 
+    def test_fix_suppressions_keeps_codes_the_selected_run_did_not_check(
+        self, tmp_path, monkeypatch
+    ):
+        # a DET001-only run cannot judge a SIM002 suppression, so it must
+        # not strip it; the next full run would then fail with SIM002
+        monkeypatch.chdir(tmp_path)
+        f = tmp_path / "m.py"
+        live = "def f(t0, t1):\n    return t0 == t1  # lint: ok(SIM002): exact tie\n"
+        f.write_text(live)
+        argv = [str(f), "--select", "DET001", "--fix-suppressions", "--no-cache"]
+        assert lint_main(argv) == 0
+        assert f.read_text() == live
+        assert lint_main([str(f), "--no-cache"]) == 0
+
+    def test_fix_suppressions_strips_stale_code_a_run_checked(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        f = tmp_path / "m.py"
+        stale = "def f(t0, t1):\n    return t0 < t1  # lint: ok(SIM002): exact tie\n"
+        f.write_text(stale)
+        assert lint_main([str(f), "--select", "DET001", "--fix-suppressions", "--no-cache"]) == 0
+        assert f.read_text() == stale
+        assert lint_main([str(f), "--fix-suppressions", "--no-cache"]) == 0
+        assert f.read_text() == "def f(t0, t1):\n    return t0 < t1\n"
+
     def test_standalone_stale_file_ok_line_is_dropped(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         f = tmp_path / "m.py"
