@@ -50,17 +50,17 @@ from repro.telemetry import Telemetry, render_report
 #: optional ``telemetry=`` sink.
 ARTIFACTS: dict[str, tuple[Callable[..., object], str]] = {
     "table1": (run_table1, "component power budgets (input data)"),
-    "table2": (run_table2, "cycle breakdown + ECN identification (~7 s)"),
+    "table2": (run_table2, "cycle breakdown + ECN identification (~3 s)"),
     "table3": (run_table3, "platform specifications"),
     "fig7": (run_fig7, "UDP kernel-buffer discard trace"),
     "fig9": (run_fig9, "ECN (SLAM) acceleration sweep"),
     "fig10": (run_fig10, "VDP acceleration sweep"),
     "fig11": (run_fig11, "network robustness A->C->A drive"),
-    "fig12": (run_fig12, "max velocity under five deployments (~8 s)"),
-    "fig13": (run_fig13, "end-to-end energy & time matrix (slow, ~1 min)"),
+    "fig12": (run_fig12, "max velocity under five deployments (~3 s)"),
+    "fig13": (run_fig13, "end-to-end energy & time matrix (slow, ~30 s)"),
     "fig14": (run_fig14, "max-vs-real velocity gap"),
-    "chaos": (run_chaos, "single-fault chaos matrix, adaptive vs static (~30 s)"),
-    "recover": (run_recovery, "chaos-recovery cells with repro.recovery attached (~6 s)"),
+    "chaos": (run_chaos, "single-fault chaos matrix, adaptive vs static (~10 s)"),
+    "recover": (run_recovery, "chaos-recovery cells with repro.recovery attached (~2 s)"),
     "fleet": (run_fleet, "fleet capacity curve: admission control vs admit-all"),
     "geo": (run_geo, "geo-distributed multi-site serving with mobility handoff (~1 s)"),
     "ablation-netqual": (run_ablation_netqual_metric, "Algorithm 2 vs latency threshold"),
