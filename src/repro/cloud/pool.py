@@ -666,11 +666,7 @@ class WorkerPool:
         return [w for w in self.workers if w.host.up]
 
     def has_live_workers(self) -> bool:
-        """Whether :meth:`select_host` could currently place anything.
-
-        Recovery-restore paths branch on this instead of catching the
-        ``RuntimeError`` an empty pool raises.
-        """
+        """Whether any worker's host is up (a site with none is down)."""
         return bool(self.live_workers())
 
     def submit(self, req: TickRequest, on_complete: CompletionFn) -> None:
@@ -801,19 +797,6 @@ class WorkerPool:
             sum(w.batches for w in self.workers),
             sum(w.batched_requests for w in self.workers),
         )
-
-    def select_host(self, node_name: str) -> Host:
-        """Least-loaded live host, for pool-mediated node placement.
-
-        This is the hook :class:`repro.core.switcher.Switcher` uses
-        when its server side is a pool instead of a single machine:
-        long-lived node migrations land on whichever worker has the
-        most headroom at migration time.
-        """
-        live = self.live_workers()
-        if not live:
-            raise RuntimeError("no live worker to place on")
-        return min(live, key=lambda w: (w.load(), w.host.name)).host
 
     def _sample_gauges(self) -> None:
         if self._gauges is None:

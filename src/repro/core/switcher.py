@@ -21,21 +21,6 @@ from repro.middleware.graph import Graph
 
 
 @runtime_checkable
-class ServerPlacement(Protocol):
-    """Anything that can pick a server host for a node.
-
-    :class:`repro.cloud.WorkerPool` satisfies this: when the Switcher's
-    server side is a pool, each migrated node lands on whichever
-    worker the pool selects (least loaded at migration time) instead
-    of one fixed machine.
-    """
-
-    def select_host(self, node_name: str) -> Host:  # pragma: no cover
-        """Destination host for ``node_name``."""
-        ...
-
-
-@runtime_checkable
 class NodeMigrator(Protocol):
     """A non-atomic migration executor (:mod:`repro.recovery`).
 
@@ -71,10 +56,8 @@ class Switcher:
     graph:
         The node graph whose placements are being changed.
     lgv_host, server_host:
-        The two placement targets. ``server_host`` may also be a
-        :class:`ServerPlacement` (e.g. a ``repro.cloud.WorkerPool``) —
-        then server-side placement is pool-mediated: every ``to_server``
-        move asks the pool which worker to land on.
+        The two placement targets: the robot and the one server every
+        ``to_server`` move lands on.
     server_threads:
         Thread-pool width given to parallelizable nodes when they run
         on the server (the §V acceleration knob). On the LGV nodes
@@ -85,17 +68,12 @@ class Switcher:
         self,
         graph: Graph,
         lgv_host: Host,
-        server_host: Host | ServerPlacement,
+        server_host: Host,
         server_threads: dict[str, int] | None = None,
     ) -> None:
         self.graph = graph
         self.lgv_host = lgv_host
-        if isinstance(server_host, Host):
-            self.server_host: Host | None = server_host
-            self.server_pool: ServerPlacement | None = None
-        else:
-            self.server_host = None
-            self.server_pool = server_host
+        self.server_host = server_host
         self.server_threads = dict(server_threads or {})
         self.records: list[MigrationRecord] = []
         #: (t, node, why) per aborted two-phase migration, and the
@@ -123,31 +101,10 @@ class Switcher:
         for name in plan.to_server:
             if self.offload_guard is not None and not self.offload_guard(name):
                 continue
-            total += self._move(name, self._server_dest(name), reason, server_side=True)
+            total += self._move(name, self.server_host, reason, server_side=True)
         for name in plan.to_robot:
             total += self._move(name, self.lgv_host, reason, server_side=False)
         return total
-
-    def _server_dest(self, name: str) -> Host:
-        """Server-side destination: the fixed host, or the pool's pick.
-
-        Pool placement is sticky: a node already sitting on a live
-        worker stays there (no ping-pong between workers on every
-        re-applied plan); only new arrivals — and nodes whose worker
-        crashed — ask the pool for a destination.
-        """
-        if self.server_pool is not None:
-            node = self.graph.nodes.get(name)
-            if (
-                node is not None
-                and node.host is not None
-                and not node.host.on_robot
-                and node.host.up
-            ):
-                return node.host
-            return self.server_pool.select_host(name)
-        assert self.server_host is not None
-        return self.server_host
 
     def _move(
         self, name: str, dest: Host, reason: str = "", server_side: bool = False

@@ -14,9 +14,7 @@ Supervision loop (all driven by the DES kernel):
   no oracle) escalates the ladder one rung — ``full_offload`` ->
   ``t3_only`` -> ``all_local`` — aborts any in-flight migration
   touching the dead host, and restores each node stranded there from
-  its last committed checkpoint: onto a surviving pool worker when
-  one exists and the ladder still permits offloading that node,
-  otherwise locally on the robot.
+  its last committed checkpoint, locally on the robot.
 
 The ladder gates the Switcher through ``offload_guard``: while
 degraded, ``to_server`` moves for distrusted nodes are vetoed, which
@@ -40,7 +38,6 @@ from repro.recovery.protocol import TwoPhaseMigrator
 from repro.recovery.supervisor import LeaseSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cloud.pool import WorkerPool
     from repro.core.framework import OffloadingFramework
     from repro.telemetry import Telemetry
 
@@ -67,7 +64,6 @@ class RecoveryManager:
         supervisor: LeaseSupervisor,
         config: RecoveryConfig = RecoveryConfig(),
         t3_nodes: Sequence[str] = (),
-        pool: "WorkerPool | None" = None,
         telemetry: "Telemetry | None" = None,
     ) -> None:
         self.graph = graph
@@ -80,7 +76,6 @@ class RecoveryManager:
         self.supervisor = supervisor
         self.cfg = config
         self.t3_nodes = frozenset(t3_nodes)
-        self.pool = pool
         self.telemetry = telemetry
         self._mode_idx = 0
         self._last_transition_t = 0.0
@@ -212,41 +207,23 @@ class RecoveryManager:
 
     def _restore_node(self, name: str) -> None:
         node = self.graph.nodes[name]
-        cp = self.store.latest(name)
-        if cp is not None:
-            node.restore(cp.state)
+        if self.store.restore_latest(node) is not None:
             self.restored_from_checkpoint += 1
         else:
             self.restored_fresh += 1
-        dest = self._restore_dest(name)
         # The state comes from the robot-side store, not from the dead
         # host, so there is no cross-host transfer to pay for: the move
-        # is a placement flip, and the node's buffered input (frozen by
-        # crash containment) replays on the new placement.
-        self.graph.move_node(name, dest, transfer=False, reason="recovery:restore")
-        node.threads = (
-            self.switcher.server_threads.get(name, 1) if not dest.on_robot else 1
-        )
-        self.switcher.record_migration(name, dest.name, 0.0)
-
-    def _restore_dest(self, name: str) -> Host:
-        """A surviving pool worker if the ladder still trusts one; else home."""
-        if (
-            self.pool is not None
-            and self.offload_guard(name)
-            and self.pool.has_live_workers()
-        ):
-            host = self.pool.select_host(name)
-            lease = self.supervisor.leases.get(host.name)
-            if lease is None or not lease.expired:
-                return host
-        return self.lgv_host
+        # is a placement flip home, and the node's buffered input
+        # (frozen by crash containment) replays on the robot.
+        home = self.lgv_host
+        self.graph.move_node(name, home, transfer=False, reason="recovery:restore")
+        node.threads = 1
+        self.switcher.record_migration(name, home.name, 0.0)
 
 
 def attach_recovery(
     framework: OffloadingFramework,
     fabric: NetworkFabric,
-    pool: "WorkerPool | None" = None,
     config: RecoveryConfig | None = None,
     telemetry: "Telemetry | None" = None,
 ) -> RecoveryManager:
@@ -284,7 +261,6 @@ def attach_recovery(
         supervisor=supervisor,
         config=cfg,
         t3_nodes=framework.classification.offload_for_time,
-        pool=pool,
         telemetry=telemetry,
     )
     framework.switcher.migrator = migrator

@@ -115,18 +115,6 @@ class StubController:
         self.degraded_history.append((now, mode))
 
 
-class FakePool:
-    def __init__(self, host):
-        self.host = host
-        self.live = True
-
-    def has_live_workers(self):
-        return self.live
-
-    def select_host(self, name):
-        return self.host
-
-
 def make_2pc(transport=None, cfg=FAST, on_commit=None, on_abort=None):
     sim = Simulator()
     tp = transport or ScriptedTransport()
@@ -539,7 +527,7 @@ class TestLeaseSupervisor:
         assert sup.alive("gw")
 
 
-def make_manager(pool=None, t3=("w",), cfg=FAST, transport=None):
+def make_manager(t3=("w",), cfg=FAST, transport=None):
     sim = Simulator()
     graph = Graph(sim, transport)
     lgv = Host("lgv", TURTLEBOT3_PI, on_robot=True)
@@ -562,7 +550,6 @@ def make_manager(pool=None, t3=("w",), cfg=FAST, transport=None):
         supervisor=supervisor,
         config=cfg,
         t3_nodes=t3,
-        pool=pool,
     )
     return sim, graph, fabric, lgv, gw, node, manager, supervisor, store, switcher, controller
 
@@ -675,47 +662,6 @@ class TestRecoveryManager:
         assert not manager.migrator.inflight
         assert manager.migrator.aborts == 1
         assert node.host is lgv and not node.paused
-
-    def test_restore_prefers_surviving_pool_worker(self):
-        vm = Host("vm0", EDGE_GATEWAY)
-        pool = FakePool(vm)
-        sim, graph, fabric, lgv, gw, node, manager, sup, store, sw, _ = make_manager(
-            pool=pool, t3=("w",)
-        )
-        sw.server_threads["w"] = 4
-        manager._on_lease_expired("gw")
-        assert node.host is vm
-        assert node.threads == 4
-
-    def test_restore_falls_back_home_when_pool_dead(self):
-        vm = Host("vm0", EDGE_GATEWAY)
-        pool = FakePool(vm)
-        pool.live = False
-        sim, graph, fabric, lgv, gw, node, manager, *_ = make_manager(
-            pool=pool, t3=("w",)
-        )
-        manager._on_lease_expired("gw")
-        assert node.host is lgv and node.threads == 1
-
-    def test_restore_distrusts_worker_with_expired_lease(self):
-        vm = Host("vm0", EDGE_GATEWAY)
-        pool = FakePool(vm)
-        sim, graph, fabric, lgv, gw, node, manager, sup, *_ = make_manager(
-            pool=pool, t3=("w",)
-        )
-        sup.grant(vm).expired = True
-        manager._on_lease_expired("gw")
-        assert node.host is lgv
-
-    def test_restore_of_non_t3_node_stays_home_in_degraded_mode(self):
-        vm = Host("vm0", EDGE_GATEWAY)
-        pool = FakePool(vm)
-        sim, graph, fabric, lgv, gw, node, manager, *_ = make_manager(
-            pool=pool, t3=()
-        )
-        manager._on_lease_expired("gw")
-        assert manager.mode == "t3_only"
-        assert node.host is lgv
 
     def test_buffered_input_survives_crash_and_restore(self):
         sim, graph, fabric, lgv, gw, node, manager, sup, store, *_ = make_manager()
