@@ -1,4 +1,4 @@
-"""The node graph: topic routing, services, hosts, and migration.
+"""The node graph: topic routing, hosts, and migration.
 
 The graph is the reproduction's ROS master + transport layer. It knows
 which host every node runs on; a publish fans out to subscribers, and
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.compute.host import Host
 from repro.middleware.messages import Message
@@ -56,7 +56,7 @@ ProcessedHook = Callable[[Node, str, float, float], None]
 
 
 class Graph:
-    """Wires nodes, topics, services and hosts together.
+    """Wires nodes, topics and hosts together.
 
     Parameters
     ----------
@@ -82,8 +82,6 @@ class Graph:
         self.transport: Transport = transport or InstantTransport()
         self.nodes: dict[str, Node] = {}
         self._subs: dict[str, list[Node]] = defaultdict(list)
-        self._services: dict[str, Node] = {}
-        self._service_handlers: dict[str, Callable[[Any], tuple[Any, float]]] = {}
         self._processed_hooks: list[ProcessedHook] = []
         self._publish_hooks: list[Callable[[Node, str, Message], None]] = []
         self.migrations: list[tuple[float, str, str, str]] = []
@@ -204,37 +202,6 @@ class Graph:
                         lambda s=sub, t=topic, m=msg: s._deliver(t, m),
                         label=f"net:{topic}",
                     )
-
-    # ------------------------------------------------------------------
-    # Services (client/server arrows of Fig. 2)
-    # ------------------------------------------------------------------
-    def advertise_service(
-        self, node: Node, name: str, handler: Callable[[Any], tuple[Any, float]]
-    ) -> None:
-        """Expose ``handler`` as service ``name`` on ``node``.
-
-        ``handler(request)`` returns ``(response, cycles)``; cycles are
-        charged to the provider's host.
-        """
-        if name in self._services:
-            raise ValueError(f"duplicate service {name!r}")
-        self._services[name] = node
-        self._service_handlers[name] = handler
-
-    def invoke_service(self, caller: Node, name: str, request: Any) -> tuple[Any, float]:
-        """Run service ``name``; returns (response, blocking_delay_s)."""
-        provider = self._services.get(name)
-        if provider is None:
-            raise KeyError(f"no such service: {name!r}")
-        handler = self._service_handlers[name]
-        response, cycles = handler(request)
-        assert provider.host is not None and caller.host is not None
-        proc = provider.host.exec_time(cycles, provider.threads, provider.parallel_profile)
-        provider.host.account(provider.name, cycles, proc)
-        delay = proc
-        if provider.host is not caller.host:
-            delay += self.transport.rtt(caller.host, provider.host, 256, self.sim.now())
-        return response, delay
 
     # ------------------------------------------------------------------
     # Migration

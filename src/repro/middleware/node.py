@@ -14,7 +14,7 @@ moves between hosts, callbacks and all.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.compute.executor import ParallelProfile, SERIAL_PROFILE
 from repro.middleware.messages import Message
@@ -53,7 +53,6 @@ class Node:
         self._busy_until: float = 0.0
         self._pub_buffer: list[tuple[str, Message]] = []
         self._charged: float = 0.0
-        self._extra_delay: float = 0.0
         self._paused = False
         #: While paused: ``None`` means input is dropped (mid-migration
         #: semantics — the state is in flight and deliveries would race
@@ -158,25 +157,6 @@ class Node:
             raise ValueError(f"cycles must be non-negative, got {cycles}")
         self._charged += cycles
 
-    def add_delay(self, seconds: float) -> None:
-        """Add non-CPU latency (e.g. a blocking service round-trip)."""
-        if seconds < 0:
-            raise ValueError(f"delay must be non-negative, got {seconds}")
-        self._extra_delay += seconds
-
-    def call(self, service: str, request: Any) -> Any:
-        """Synchronous service call through the graph.
-
-        The provider's cycles are charged to the provider's host and the
-        caller blocks (virtually) for the processing plus any network
-        round-trip, folded into this callback's completion time.
-        """
-        if self.graph is None:
-            raise RuntimeError(f"node {self.name} is not attached to a graph")
-        response, delay = self.graph.invoke_service(self, service, request)
-        self._extra_delay += delay
-        return response
-
     def now(self) -> float:
         """Current virtual time."""
         if self.graph is None:
@@ -228,7 +208,6 @@ class Node:
     def _execute(self, trigger: str, msg: Message | None) -> None:
         assert self.graph is not None and self.host is not None
         self._charged = 0.0
-        self._extra_delay = 0.0
         self._pub_buffer = []
         if msg is None or trigger in getattr(self, "_timer_callbacks", {}):
             self._timer_callbacks[trigger]()
@@ -236,7 +215,6 @@ class Node:
             callback, _ = self._subs[trigger]
             callback(msg)
         proc = self.host.exec_time(self._charged, self.threads, self.parallel_profile)
-        proc += self._extra_delay
         now = self.graph.sim.now()
         self._busy_until = now + proc
         self.host.account(self.name, self._charged, proc)
