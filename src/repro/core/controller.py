@@ -1,13 +1,10 @@
 """The Controller thread (§VII): runtime parameter adjustment.
 
-Exposes the two actuation knobs the paper's Controller drives through
-ROS APIs:
-
-* **maximum velocity** — recomputed from the current VDP makespan via
-  Eq. 2c after every offloading decision;
-* **decision accuracy** — the trajectory-sample / particle counts,
-  which §VIII-E suggests lowering in obstacle-dense phases where the
-  vehicle can't reach v_max anyway.
+The paper's Controller drives two knobs through ROS APIs: the maximum
+velocity and the decision accuracy (trajectory-sample / particle
+counts). Here it drives only the first — the velocity cap, recomputed
+from the current VDP makespan via Eq. 2c after every offloading
+decision. Sample and particle counts are fixed per deployment.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from repro.control.velocity_law import (
 
 @dataclass
 class Controller:
-    """Velocity and accuracy actuation.
+    """Velocity actuation.
 
     Parameters
     ----------
@@ -41,12 +38,10 @@ class Controller:
     stop_distance_m: float = DEFAULT_STOP_DISTANCE_M
     max_accel: float = DEFAULT_MAX_ACCEL
     velocity_history: list[tuple[float, float]] = field(default_factory=list)
-    accuracy_history: list[tuple[float, int]] = field(default_factory=list)
     #: Recovery-ladder transitions ((t, mode)); written by
     #: :class:`repro.recovery.manager.RecoveryManager` so degraded intervals
     #: line up with the velocity trace in post-run analysis.
     degraded_history: list[tuple[float, str]] = field(default_factory=list)
-    _accuracy_setters: list[Callable[[int], None]] = field(default_factory=list)
 
     def update_velocity(self, now: float, vdp_time_s: float) -> float:
         """Apply Eq. 2c for the measured VDP makespan; returns v_max."""
@@ -59,18 +54,6 @@ class Controller:
         self.set_velocity_cap(v)
         self.velocity_history.append((now, v))
         return v
-
-    def register_accuracy_setter(self, setter: Callable[[int], None]) -> None:
-        """Register a node hook that accepts a new sample/particle count."""
-        self._accuracy_setters.append(setter)
-
-    def set_accuracy(self, now: float, level: int) -> None:
-        """Push a decision-accuracy level to all registered nodes."""
-        if level < 1:
-            raise ValueError(f"accuracy level must be >= 1, got {level}")
-        for setter in self._accuracy_setters:
-            setter(level)
-        self.accuracy_history.append((now, level))
 
     def note_degraded_mode(self, now: float, mode: str) -> None:
         """Record a recovery-ladder transition (``full_offload``,

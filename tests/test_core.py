@@ -268,15 +268,6 @@ class TestController:
         assert len(c.velocity_history) == 2
         assert c.current_velocity_cap == c.velocity_history[-1][1]
 
-    def test_accuracy_setters(self):
-        got = []
-        c = Controller(set_velocity_cap=lambda v: None)
-        c.register_accuracy_setter(got.append)
-        c.set_accuracy(0.0, 500)
-        assert got == [500]
-        with pytest.raises(ValueError):
-            c.set_accuracy(0.0, 0)
-
     def test_default_cap_before_updates(self):
         c = Controller(set_velocity_cap=lambda v: None, hardware_cap=0.7)
         assert c.current_velocity_cap == 0.7
