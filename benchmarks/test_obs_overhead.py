@@ -82,18 +82,11 @@ class _PreObsSimulator(Simulator):
     """The kernel's drain loop with every instrumentation guard deleted."""
 
     def run(  # replica: run()'s fast path minus the obs guards
-        self, until: float | None = None, max_events: int | None = None
+        self, until: float | None = None
     ) -> float:
-        self._stopped = False
-        limit = None if max_events is None else self._processed + max_events
         clock = self.clock
         pop_due = self.queue.pop_due
-        while not self._stopped:
-            if limit is not None and self._processed >= limit:
-                break
-            ev = pop_due(until)
-            if ev is None:
-                break
+        while (ev := pop_due(until)) is not None:
             t = ev.time
             if t > clock._now:
                 clock._now = t

@@ -33,7 +33,7 @@ class ReentrantRunChecker(Checker):
 
     ``run`` drains the queue; calling it from inside a firing callback
     nests the drain loop and double-fires events. The kernel also
-    raises at runtime (see ``Simulator.step``); this checker catches
+    raises at runtime (see ``Simulator.run``); this checker catches
     the pattern before it ever runs. Heuristic: a function is a
     *callback* if its name is passed to ``schedule_at``/
     ``schedule_after``/``every``/``push`` anywhere in the module; a

@@ -100,7 +100,7 @@ class KernelProfiler:
             self._sim.profiler = None
 
     # ------------------------------------------------------------------
-    # The hot-path hook (called by Simulator.step)
+    # The hot-path hook (called by Simulator._fire in a profiled run)
     # ------------------------------------------------------------------
     def record(
         self, label: str, t_event: float, seq: int, parent: int, wall_s: float

@@ -129,21 +129,6 @@ class TestReentrancyGuard:
         assert len(errors) == 1
         assert "reentrantly" in str(errors[0])
 
-    def test_reentrant_step_raises(self):
-        sim = Simulator()
-        with_err: list[Exception] = []
-
-        def bad() -> None:
-            try:
-                sim.step()
-            except RuntimeError as exc:
-                with_err.append(exc)
-
-        sim.schedule_at(1.0, bad)
-        sim.schedule_at(2.0, lambda: None, label="later")
-        sim.run()
-        assert len(with_err) == 1
-
     def test_sequential_runs_still_fine(self):
         sim = Simulator()
         fired: list[float] = []

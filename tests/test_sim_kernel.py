@@ -105,7 +105,8 @@ class TestSimulator:
         assert seen == [1.0]
 
     def test_schedule_in_past_raises(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run(until=10.0)
         with pytest.raises(ValueError):
             sim.schedule_at(5.0, lambda: None)
 
@@ -142,21 +143,6 @@ class TestSimulator:
         sim.schedule_at(1.0, first)
         sim.run()
         assert seen == [1.0, 3.0]
-
-    def test_stop_inside_callback(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.schedule_at(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-
-    def test_max_events(self):
-        sim = Simulator()
-        for i in range(10):
-            sim.schedule_at(float(i + 1), lambda: None)
-        sim.run(max_events=3)
-        assert sim.events_processed == 3
 
     def test_deterministic_replay(self):
         def run_once():
@@ -206,33 +192,6 @@ class TestProcess:
         sim.run(until=100.0)
         assert holder["p"].fire_count == 3
 
-    def test_set_period_reschedules_pending(self):
-        # shrinking at t=2.1 moves the pending firing (was 3.0) to
-        # max(now, last_firing + period) = max(2.1, 2.0 + 0.5) = 2.5
-        sim = Simulator()
-        times = []
-        proc = sim.every(1.0, lambda: times.append(sim.now()))
-        sim.schedule_at(2.1, lambda: proc.set_period(0.5))
-        sim.run(until=4.0)
-        assert times == [1.0, 2.0, 2.5, 3.0, 3.5, 4.0]
-
-    def test_set_period_grow_defers_pending(self):
-        sim = Simulator()
-        times = []
-        proc = sim.every(1.0, lambda: times.append(sim.now()))
-        sim.schedule_at(2.1, lambda: proc.set_period(2.0))
-        sim.run(until=7.0)
-        assert times == [1.0, 2.0, 4.0, 6.0]
-
-    def test_set_period_never_schedules_in_past(self):
-        # last firing 2.0 + new period 0.5 = 2.5 < now (2.7): fires at now
-        sim = Simulator()
-        times = []
-        proc = sim.every(1.0, lambda: times.append(sim.now()))
-        sim.schedule_at(2.7, lambda: proc.set_period(0.5))
-        sim.run(until=3.4)
-        assert times == [1.0, 2.0, 2.7, 3.2]
-
     def test_fire_now(self):
         sim = Simulator()
         times = []
@@ -261,115 +220,32 @@ class TestProcess:
         sim.run()
         assert sim.queue_depth == 0
 
-    def test_max_events_counts_off_processed_total(self):
-        # run(max_events=N) counts new firings even after a prior run
-        sim = Simulator()
-        for i in range(10):
-            sim.schedule_at(float(i + 1), lambda: None)
-        sim.run(max_events=3)
-        assert sim.events_processed == 3
-        sim.run(max_events=3)
-        assert sim.events_processed == 6
-
     def test_invalid_period_raises(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.every(0.0, lambda: None)
-        proc = sim.every(1.0, lambda: None)
-        with pytest.raises(ValueError):
-            proc.set_period(-1.0)
-
-    def test_set_period_inside_fire_now(self):
-        # a callback adapting its own rate during a forced firing must
-        # not double-schedule: exactly one pending firing afterwards,
-        # one full new period after the forced one
-        sim = Simulator()
-        times = []
-        holder = {}
-
-        def cb():
-            times.append(sim.now())
-            if sim.now() == 2.5:
-                holder["p"].set_period(0.5)
-
-        holder["p"] = sim.every(1.0, cb)
-        sim.schedule_at(2.5, holder["p"].fire_now)
-        sim.run(until=4.1)
-        assert times == [1.0, 2.0, 2.5, 3.0, 3.5, 4.0]
-        assert sim.queue_depth == 1  # the single pending firing
 
 
 class TestProcessErrors:
-    """Crash containment: the on_error policies of a raising callback."""
+    """A raising callback stops its process, then propagates."""
 
     @staticmethod
     def _boom():
         raise RuntimeError("boom")
 
     def test_raise_policy_propagates_but_tears_down_cleanly(self):
-        # default policy: the error escapes sim.run, but the process is
-        # left consistently dead — previously ``running`` stayed True
-        # with no firing ever scheduled again
+        # the error escapes sim.run, but the process is left
+        # consistently dead — previously ``running`` stayed True with
+        # no firing ever scheduled again
         sim = Simulator()
         proc = sim.every(1.0, self._boom)
         with pytest.raises(RuntimeError, match="boom"):
             sim.run(until=5.0)
         assert not proc.running
         assert sim.queue_depth == 0
-        assert len(proc.errors) == 1
         # the simulator itself is still usable
         sim.schedule_at(2.0, lambda: None)
         sim.run(until=5.0)
-
-    def test_stop_policy_contains_and_stops(self):
-        sim = Simulator()
-        survivor = []
-        sim.every(1.0, lambda: survivor.append(sim.now()))
-        proc = sim.every(1.0, self._boom, on_error="stop")
-        sim.run(until=3.5)
-        assert not proc.running
-        assert [t for t, _ in proc.errors] == [1.0]
-        assert survivor == [1.0, 2.0, 3.0]  # the rest of the sim lived on
-
-    def test_keep_policy_keeps_firing(self):
-        sim = Simulator()
-        proc = sim.every(1.0, self._boom, on_error="keep")
-        sim.run(until=3.5)
-        assert proc.running
-        assert proc.fire_count == 3
-        assert [t for t, _ in proc.errors] == [1.0, 2.0, 3.0]
-
-    def test_keep_policy_intermittent_error(self):
-        # degrade-never-crash: one bad firing must not cost the good ones
-        sim = Simulator()
-        good = []
-
-        def flaky():
-            if sim.now() == 2.0:
-                raise ValueError("transient")
-            good.append(sim.now())
-
-        proc = sim.every(1.0, flaky, on_error="keep")
-        sim.run(until=4.5)
-        assert good == [1.0, 3.0, 4.0]
-        assert len(proc.errors) == 1
-
-    def test_contained_error_emits_telemetry(self):
-        from repro.telemetry import Telemetry
-
-        sim = Simulator()
-        sim.telemetry = Telemetry()
-        sim.every(1.0, self._boom, label="fragile", on_error="stop")
-        sim.run(until=2.0)
-        evs = [e for e in sim.telemetry.events.events if e.kind == "process_error"]
-        assert len(evs) == 1
-        assert evs[0].fields["process"] == "fragile"
-        assert evs[0].fields["policy"] == "stop"
-
-    def test_invalid_policy_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            sim.every(1.0, lambda: None, on_error="explode")
 
 
 class TestRng:
