@@ -17,7 +17,6 @@ from repro.cloud.admission import (
 from repro.cloud.batching import BatchKey, BatchPolicy, batch_key
 from repro.cloud.balancer import (
     BALANCER_NAMES,
-    AffinityBalancer,
     LeastLoadedBalancer,
     LoadBalancer,
     RoundRobinBalancer,
@@ -38,7 +37,6 @@ from repro.cloud.tenants import RobotTenant, TenantStats
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "AffinityBalancer",
     "BALANCER_NAMES",
     "BatchKey",
     "BatchPolicy",

@@ -1,14 +1,13 @@
 """Load-balancing policies: which worker gets the next request.
 
 All policies see only workers that are up. Determinism matters more
-than spread quality here — affinity hashing uses CRC32, not Python's
+than spread quality here: ties break on host names, never on Python's
 per-process-salted ``hash``, so a seeded run places tenants
 identically on every execution.
 """
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
@@ -18,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cloud.pool import PoolWorker
 
 #: CLI / experiment spelling -> balancer class (see :func:`make_balancer`).
-BALANCER_NAMES = ("round-robin", "least-loaded", "affinity")
+BALANCER_NAMES = ("round-robin", "least-loaded")
 
 
 class LoadBalancer:
@@ -65,33 +64,10 @@ class LeastLoadedBalancer(LoadBalancer):
         return min(workers, key=lambda w: (w.load(), w.host.name))
 
 
-class AffinityBalancer(LoadBalancer):
-    """Stable tenant -> worker mapping via rendezvous (HRW) hashing.
-
-    Each tenant consistently lands on the same worker while it is up
-    (warm caches, per-tenant state), and only the tenants of a crashed
-    worker move when membership changes — the property the
-    crash-rebalance path relies on.
-    """
-
-    name = "affinity"
-
-    def pick(
-        self, workers: Sequence[PoolWorker], req: TickRequest, now: float
-    ) -> PoolWorker:
-        def weight(w: PoolWorker) -> int:
-            key = f"{req.tenant}@{w.host.name}".encode()
-            return zlib.crc32(key)
-
-        return max(workers, key=lambda w: (weight(w), w.host.name))
-
-
 def make_balancer(name: str) -> LoadBalancer:
     """Balancer from its CLI spelling."""
     if name == "round-robin":
         return RoundRobinBalancer()
     if name == "least-loaded":
         return LeastLoadedBalancer()
-    if name == "affinity":
-        return AffinityBalancer()
     raise ValueError(f"unknown balancer {name!r}; have {list(BALANCER_NAMES)}")
